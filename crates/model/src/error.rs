@@ -77,6 +77,15 @@ pub enum SailingError {
         /// The underlying I/O failure, rendered.
         reason: String,
     },
+    /// A worker thread on a coordination path (e.g. one shard of
+    /// `analyze_sharded`) panicked; the panic is caught at the join and
+    /// reported instead of propagated.
+    WorkerPanicked {
+        /// Which fan-out the worker belonged to.
+        context: &'static str,
+        /// The panic payload, rendered when it is a string.
+        reason: String,
+    },
 }
 
 impl SailingError {
@@ -153,6 +162,9 @@ impl fmt::Display for SailingError {
                     "persistent store background write failed at {path}: {reason}"
                 )
             }
+            SailingError::WorkerPanicked { context, reason } => {
+                write!(f, "{context} worker panicked: {reason}")
+            }
         }
     }
 }
@@ -201,6 +213,12 @@ mod tests {
             .into_deferred()
             .to_string()
             .contains("background write"));
+        assert!(SailingError::WorkerPanicked {
+            context: "shard",
+            reason: "boom".into()
+        }
+        .to_string()
+        .contains("shard worker panicked: boom"));
     }
 
     #[test]

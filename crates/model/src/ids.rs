@@ -229,7 +229,7 @@ typed_catalog!(ValueId);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ValueId;
+    use crate::value::{Value, ValueId};
 
     #[test]
     fn intern_is_idempotent() {
@@ -300,6 +300,39 @@ mod tests {
         back.rebuild_index();
         assert_eq!(back.lookup(&"y".to_string()), Some(SourceId(1)));
         assert_eq!(back.len(), 2);
+    }
+
+    #[test]
+    fn non_ascii_names_roundtrip_byte_identically() {
+        let names = [
+            "Müller & Søn",
+            "\"quoted\" source",
+            "back\\slash\\path",
+            "line one\nline two\r\n\tend",
+            "北京大学 · 東京",
+            "rocket 🚀 launch",
+            "",
+        ];
+        let mut c: Catalog<String, SourceId> = Catalog::new();
+        for name in names {
+            c.intern(&name.to_string());
+        }
+        let json = serde_json::to_string(&c).unwrap();
+        let mut back: Catalog<String, SourceId> = serde_json::from_str(&json).unwrap();
+        back.rebuild_index();
+        assert!(back.entries().eq(c.entries()));
+        for (id, name) in c.entries() {
+            assert_eq!(back.lookup(name), Some(id));
+        }
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+
+        for name in names {
+            let v = Value::text(format!("{name} ✓"));
+            let json = serde_json::to_string(&v).unwrap();
+            let back: Value = serde_json::from_str(&json).unwrap();
+            assert_eq!(back, v);
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        }
     }
 
     #[test]

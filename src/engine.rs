@@ -169,6 +169,30 @@ fn shard_partial_name(hash: u64, iteration: usize, range: PairRange) -> String {
     )
 }
 
+/// Joins scoped workers in spawn order. A worker's panic becomes
+/// [`SailingError::WorkerPanicked`] instead of re-raising on the
+/// coordinating thread; every handle is joined first, so no panicked
+/// worker is left for the scope to re-raise.
+fn join_workers<T>(
+    context: &'static str,
+    handles: Vec<std::thread::ScopedJoinHandle<'_, T>>,
+) -> Result<Vec<T>, SailingError> {
+    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+    joined
+        .into_iter()
+        .map(|outcome| {
+            outcome.map_err(|payload| {
+                let reason = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_string());
+                SailingError::WorkerPanicked { context, reason }
+            })
+        })
+        .collect()
+}
+
 /// Builder for [`SailingEngine`]; start from [`SailingEngine::builder`].
 pub struct SailingEngineBuilder {
     params: Option<DetectionParams>,
@@ -766,8 +790,9 @@ impl SailingEngine {
     /// # Errors
     /// A configuration error when the installed strategy is not the
     /// iterative ACCU/ACCU-COPY family (the sharded loop distributes that
-    /// specific iteration), or a merge error if the store hands back
-    /// partials that cannot reproduce the monolithic pass.
+    /// specific iteration), a merge error if the store hands back
+    /// partials that cannot reproduce the monolithic pass, or
+    /// [`SailingError::WorkerPanicked`] if a local shard worker panics.
     pub fn analyze_sharded(
         &self,
         snapshot: &SnapshotView,
@@ -799,7 +824,7 @@ impl SailingEngine {
         while state.iterations < self.params.max_iterations {
             let iteration = state.iterations + 1;
             let partials =
-                self.sharded_iteration(&pipeline, &snapshot, &ranges, &state, hash, iteration);
+                self.sharded_iteration(&pipeline, &snapshot, &ranges, &state, hash, iteration)?;
             let step = pipeline.merge_partials(&snapshot, &state, &partials)?;
             state = step.state;
             if step.done {
@@ -825,6 +850,8 @@ impl SailingEngine {
     /// One iteration's fan-out: claim what we can, compute claimed ranges
     /// on scoped threads, publish them, adopt the rest from cooperating
     /// processes (recomputing locally when a claimant never delivers).
+    /// A panicking local worker surfaces as
+    /// [`SailingError::WorkerPanicked`].
     fn sharded_iteration(
         &self,
         pipeline: &AccuCopy,
@@ -833,7 +860,7 @@ impl SailingEngine {
         state: &PipelineResult,
         hash: u64,
         iteration: usize,
-    ) -> Vec<PartialDependence> {
+    ) -> Result<Vec<PartialDependence>, SailingError> {
         let store = self.persist.as_deref();
         let (mine, theirs): (Vec<PairRange>, Vec<PairRange>) = match store {
             Some(store) => ranges
@@ -852,18 +879,15 @@ impl SailingEngine {
                     .iter()
                     .map(|&r| scope.spawn(move || pipeline.run_shard(snapshot, r, state)))
                     .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            })
+                join_workers("shard", handles)
+            })?
         };
         self.shard
             .runs
             .fetch_add(mine.len() as u64, Ordering::Relaxed);
 
         let Some(store) = store else {
-            return partials;
+            return Ok(partials);
         };
         // Publishing is cooperative best-effort: a failed publish only
         // denies peers an adoption (they recompute), never this merge.
@@ -908,7 +932,7 @@ impl SailingEngine {
             self.shard.runs.fetch_add(1, Ordering::Relaxed);
             partials.push(partial);
         }
-        partials
+        Ok(partials)
     }
 
     /// Opens a [`TimelineSession`] over a history: one warm-started epoch
@@ -3395,6 +3419,30 @@ mod tests {
         // Sharded results bypass the cache: only the plain analyze()
         // touched the request counters.
         assert_eq!(stats.hits + stats.misses, 1);
+    }
+
+    #[test]
+    fn worker_panic_joins_into_a_typed_error() {
+        let joined = std::thread::scope(|scope| {
+            let handles = vec![
+                scope.spawn(|| 1),
+                scope.spawn(|| -> i32 { panic!("range 3 exploded") }),
+                scope.spawn(|| 3),
+            ];
+            join_workers("shard", handles)
+        });
+        assert_eq!(
+            joined,
+            Err(SailingError::WorkerPanicked {
+                context: "shard",
+                reason: "range 3 exploded".to_string(),
+            })
+        );
+        let ok = std::thread::scope(|scope| {
+            let handles = (0..3).map(|i| scope.spawn(move || i * 2)).collect();
+            join_workers("shard", handles)
+        });
+        assert_eq!(ok, Ok(vec![0, 2, 4]));
     }
 
     #[test]
