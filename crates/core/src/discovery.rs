@@ -10,7 +10,7 @@
 //! strategies (e.g. a future sharded or incremental pipeline) plug in
 //! without touching the downstream crates.
 
-use sailing_model::{Delta, SailingError, SnapshotView};
+use sailing_model::{Delta, SnapshotView};
 
 use crate::params::DetectionParams;
 use crate::pipeline::{AccuCopy, DeltaOutcome, DeltaRun, PipelineResult, Termination};
@@ -130,78 +130,6 @@ impl TruthDiscovery for NaiveVote {
     }
 }
 
-/// Accuracy-weighted voting without dependence awareness — the ACCU
-/// baseline used throughout the experiments.
-#[derive(Debug, Clone)]
-pub struct Accu {
-    pipeline: AccuCopy,
-}
-
-impl Accu {
-    /// Creates the ACCU baseline with default parameters.
-    pub fn with_defaults() -> Self {
-        Self {
-            pipeline: AccuCopy::baseline(),
-        }
-    }
-
-    /// Creates the ACCU baseline from explicit parameters (copy detection
-    /// is forced off).
-    pub fn new(params: DetectionParams) -> Result<Self, SailingError> {
-        let params = DetectionParams {
-            enable_copy_detection: false,
-            ..params
-        };
-        Ok(Self {
-            pipeline: AccuCopy::new(params)?,
-        })
-    }
-
-    /// The parameters in force.
-    pub fn params(&self) -> &DetectionParams {
-        self.pipeline.params()
-    }
-}
-
-impl Default for Accu {
-    fn default() -> Self {
-        Self::with_defaults()
-    }
-}
-
-impl TruthDiscovery for Accu {
-    fn name(&self) -> &'static str {
-        "accu"
-    }
-
-    fn discover(&self, snapshot: &SnapshotView) -> PipelineResult {
-        self.pipeline.run(snapshot)
-    }
-
-    fn run_warm(&self, snapshot: &SnapshotView, prior: Option<&PipelineResult>) -> PipelineResult {
-        self.pipeline.run_warm(snapshot, prior)
-    }
-
-    fn run_delta(
-        &self,
-        snapshot: &SnapshotView,
-        prev: Option<&PipelineResult>,
-        delta: &Delta,
-        max_dirty_fraction: f64,
-    ) -> DeltaRun {
-        self.pipeline
-            .run_delta(snapshot, prev, delta, max_dirty_fraction)
-    }
-
-    fn detects_dependence(&self) -> bool {
-        false
-    }
-
-    fn detection_params(&self) -> Option<&DetectionParams> {
-        Some(self.pipeline.params())
-    }
-}
-
 impl TruthDiscovery for AccuCopy {
     fn name(&self) -> &'static str {
         if self.params().enable_copy_detection {
@@ -246,7 +174,7 @@ mod tests {
     fn strategies() -> Vec<Box<dyn TruthDiscovery>> {
         vec![
             Box::new(NaiveVote::new()),
-            Box::new(Accu::with_defaults()),
+            Box::new(AccuCopy::baseline()),
             Box::new(AccuCopy::with_defaults()),
         ]
     }
@@ -292,15 +220,8 @@ mod tests {
 
     #[test]
     fn accu_forces_copy_detection_off() {
-        let accu = Accu::new(DetectionParams::default()).unwrap();
-        assert!(!accu.params().enable_copy_detection);
-        assert!(Accu::new(DetectionParams {
-            copy_rate: 7.0,
-            ..DetectionParams::default()
-        })
-        .is_err());
         let (store, _) = fixtures::table1();
-        let result = Accu::default().discover(&store.snapshot());
+        let result = AccuCopy::baseline().discover(&store.snapshot());
         assert!(result.dependences.is_empty());
     }
 

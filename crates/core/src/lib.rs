@@ -59,7 +59,7 @@ pub mod temporal;
 pub mod truth;
 pub mod vote;
 
-pub use discovery::{Accu, NaiveVote, TruthDiscovery};
+pub use discovery::{NaiveVote, TruthDiscovery};
 pub use params::{DetectionParams, TemporalParams};
 pub use pipeline::{AccuCopy, DeltaOutcome, DeltaRun, PipelineResult, Termination, Watchdog};
 pub use report::{DependenceKind, Direction, PairDependence, SourceReport};

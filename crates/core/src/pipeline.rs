@@ -9,18 +9,20 @@
 //! experiments).
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use sailing_model::{fx_mix, Delta, ObjectId, SailingError, SnapshotView, SourceId, ValueId};
+use sailing_model::{Delta, ObjectId, SailingError, SnapshotView, SourceId, ValueId};
 
 use crate::accuracy::{estimate_accuracies, max_delta};
 use crate::pairs::{candidate_pairs, detect_all_with_pairs};
 use crate::params::DetectionParams;
 use crate::partial;
 use crate::report::{Direction, PairDependence, SourceReport};
-use crate::truth::{naive_probabilities, weighted_vote, DependenceMatrix, ValueProbabilities};
+use crate::shard::{iteration_digest, ShardStep};
+use crate::truth::{weighted_vote, DependenceMatrix, ValueProbabilities};
 
 /// Dependence-aware truth discovery, run as a converging iteration.
 #[derive(Debug, Clone)]
@@ -90,8 +92,10 @@ impl Termination {
 /// whole iteration budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Watchdog {
-    /// Wall-clock budget for one `run`/`run_warm` call; checked between
-    /// iterations, so one iteration always completes.
+    /// Wall-clock budget for one [`AccuCopy::run`] / [`AccuCopy::run_warm`]
+    /// call, or one sharded run ([`AccuCopy::run_sharded`], the `sailing`
+    /// facade's `analyze_sharded`); checked between iterations, so one
+    /// iteration always completes.
     pub deadline: Option<Duration>,
     /// Record a digest of each iteration's end state and stop the moment
     /// a state recurs exactly. Costs one hash of the accuracy and
@@ -345,59 +349,55 @@ impl AccuCopy {
         snapshot: &SnapshotView,
         prior: Option<&PipelineResult>,
     ) -> PipelineResult {
-        let p = &self.params;
-        let mut accuracies = seed_accuracies(p, snapshot, prior);
-        let mut dependences: Vec<PairDependence> = Vec::new();
-        let mut matrix = DependenceMatrix::new();
-        let candidates = if p.enable_copy_detection {
-            candidate_pairs(snapshot, p.min_overlap)
-        } else {
-            Vec::new()
-        };
-        // Bootstrap with naive vote shares even when warm (see
-        // `truth::naive_probabilities`): the bootstrap beliefs feed the
-        // *first* dependence-detection pass, and seeding it with saturated
-        // posteriors — the prior's, or any weighted vote's — hides the
-        // shared-false-value mass copy detection needs, steering the loop
-        // into the copier-locked fixpoint. Warmth lives in the accuracy
-        // seed alone, which is what the convergence criterion measures.
-        let mut probabilities = naive_probabilities(snapshot);
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut termination = Termination::IterationCap;
+        let candidates = self.candidates(snapshot);
+        let Ok(result) = self.drive(snapshot, prior, |state| {
+            let dependences = self.detect(snapshot, &candidates, state);
+            Ok::<_, Infallible>(self.step(snapshot, state, dependences))
+        });
+        result
+    }
+
+    /// The one discovery loop every ACCU-family entry point runs:
+    /// [`AccuCopy::run_warm`] over a local detection pass,
+    /// [`AccuCopy::run_sharded`] and the `sailing` facade's
+    /// `analyze_sharded` over a fanned-out one.
+    ///
+    /// Starts from [`AccuCopy::bootstrap_sharded`]'s iteration-zero state
+    /// and calls `iteration` once per round: it detects dependence
+    /// against the current state and returns the vote → estimate →
+    /// converge → re-vote step ([`AccuCopy::merge_partials`] for
+    /// partials). Between rounds the armed [`Watchdog`] checks run, so
+    /// one iteration always completes and a converged run is never
+    /// interrupted. The loop ends on convergence, the iteration cap, a
+    /// watchdog stop, or the first error `iteration` returns.
+    ///
+    /// # Errors
+    /// Propagates the first error `iteration` returns.
+    pub fn drive<E>(
+        &self,
+        snapshot: &SnapshotView,
+        prior: Option<&PipelineResult>,
+        mut iteration: impl FnMut(&PipelineResult) -> Result<ShardStep, E>,
+    ) -> Result<PipelineResult, E> {
         let started = Instant::now();
         // Digests of each iteration's end state, in order — empty (and
         // cost-free) unless limit-cycle detection is armed.
         let mut seen_states: Vec<u64> = Vec::new();
-
-        while iterations < p.max_iterations {
-            iterations += 1;
-            if p.enable_copy_detection {
-                dependences =
-                    detect_all_with_pairs(snapshot, &candidates, &probabilities, &accuracies, p);
-                refine_directions(snapshot, &probabilities, &mut dependences);
-                matrix = DependenceMatrix::from_pairs(&dependences);
-            }
-            probabilities = weighted_vote(snapshot, &accuracies, &matrix, p);
-            let new_accuracies = estimate_accuracies(snapshot, &probabilities, p);
-            let delta = max_delta(&accuracies, &new_accuracies);
-            accuracies = new_accuracies;
-            if delta < p.convergence_epsilon {
-                converged = true;
-                termination = Termination::Converged;
+        let mut state = self.bootstrap_sharded(snapshot, prior);
+        loop {
+            let step = iteration(&state)?;
+            state = step.state;
+            if state.converged {
                 break;
             }
-            probabilities = weighted_vote(snapshot, &accuracies, &matrix, p);
-            // Watchdog checks run between iterations, so one iteration
-            // always completes and a converged run is never interrupted.
             if self.watchdog.detect_limit_cycles {
-                let digest = state_digest(&accuracies, &probabilities);
+                let digest = iteration_digest(&state);
                 if let Some(seen_at) = seen_states.iter().position(|&d| d == digest) {
                     // The full iteration state (accuracies + posteriors,
                     // from which the next dependence pass derives
                     // deterministically) recurred exactly: the loop is in
                     // a cycle and will never converge. End it now.
-                    termination = Termination::LimitCycle {
+                    state.termination = Termination::LimitCycle {
                         period: seen_states.len() - seen_at,
                     };
                     break;
@@ -406,20 +406,83 @@ impl AccuCopy {
             }
             if let Some(deadline) = self.watchdog.deadline {
                 if started.elapsed() >= deadline {
-                    termination = Termination::DeadlineExceeded;
+                    state.termination = Termination::DeadlineExceeded;
                     break;
                 }
             }
+            if step.done {
+                break;
+            }
         }
+        Ok(state)
+    }
 
-        PipelineResult {
-            probabilities,
-            accuracies,
-            dependences,
-            iterations,
-            converged,
-            termination,
+    /// One iteration's global tail, shared by every loop variant: builds
+    /// the dependence matrix from this iteration's `dependences`, votes
+    /// with the *old* accuracies, re-estimates accuracies and tests
+    /// convergence. Only a non-converged iteration re-votes with the fresh
+    /// accuracies, so copied votes are damped before the next detection
+    /// pass.
+    pub(crate) fn step(
+        &self,
+        snapshot: &SnapshotView,
+        state: &PipelineResult,
+        dependences: Vec<PairDependence>,
+    ) -> ShardStep {
+        let p = &self.params;
+        let matrix = DependenceMatrix::from_pairs(&dependences);
+        let iterations = state.iterations + 1;
+        let mut probabilities = weighted_vote(snapshot, &state.accuracies, &matrix, p);
+        let accuracies = estimate_accuracies(snapshot, &probabilities, p);
+        let converged = max_delta(&state.accuracies, &accuracies) < p.convergence_epsilon;
+        if !converged {
+            probabilities = weighted_vote(snapshot, &accuracies, &matrix, p);
         }
+        ShardStep {
+            done: converged || iterations >= p.max_iterations,
+            state: PipelineResult {
+                probabilities,
+                accuracies,
+                dependences,
+                iterations,
+                converged,
+                termination: Termination::from_converged(converged),
+            },
+        }
+    }
+
+    /// The canonical candidate-pair list for `snapshot` — empty when copy
+    /// detection is off.
+    pub(crate) fn candidates(&self, snapshot: &SnapshotView) -> Vec<(SourceId, SourceId, usize)> {
+        if self.params.enable_copy_detection {
+            candidate_pairs(snapshot, self.params.min_overlap)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// One dependence-detection pass over `candidates` against `state`,
+    /// with per-pair direction refinement.
+    pub(crate) fn detect(
+        &self,
+        snapshot: &SnapshotView,
+        candidates: &[(SourceId, SourceId, usize)],
+        state: &PipelineResult,
+    ) -> Vec<PairDependence> {
+        // Nothing to test (always so with copy detection off): skip the
+        // per-pass setup `detect_all_with_pairs` does before its loop.
+        if candidates.is_empty() {
+            return Vec::new();
+        }
+        let mut dependences = detect_all_with_pairs(
+            snapshot,
+            candidates,
+            &state.probabilities,
+            &state.accuracies,
+            &self.params,
+        );
+        refine_directions(snapshot, &state.probabilities, &mut dependences);
+        dependences
     }
 }
 
@@ -691,28 +754,6 @@ impl AccuCopy {
     }
 }
 
-/// Order-sensitive digest of one iteration's end state: every accuracy
-/// bit and every posterior (object, value, probability) bit. Exact
-/// recurrence of this digest means the deterministic loop has entered a
-/// cycle. Same hash family as [`SnapshotView::content_hash`]; a 64-bit
-/// collision would end a run a few iterations early as a (correctly
-/// non-converged) `LimitCycle` — a wrong *diagnosis label* at worst,
-/// never a wrong posterior served.
-pub(crate) fn state_digest(accuracies: &[f64], probabilities: &ValueProbabilities) -> u64 {
-    let mut h = fx_mix(0x63_79_63_6c_65, accuracies.len() as u64); // "cycle"
-    for a in accuracies {
-        h = fx_mix(h, a.to_bits());
-    }
-    for o in probabilities.objects() {
-        h = fx_mix(h, u64::from(o.0));
-        for &(v, p) in probabilities.distribution(o) {
-            h = fx_mix(h, u64::from(v.0));
-            h = fx_mix(h, p.to_bits());
-        }
-    }
-    h
-}
-
 /// The warm-start accuracy seed shared by [`AccuCopy::run_warm`] and the
 /// sharded coordinator bootstrap ([`crate::shard`]) — one definition so
 /// the gating rule cannot drift between the two paths.
@@ -769,6 +810,7 @@ pub(crate) fn refine_directions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::truth::naive_probabilities;
     use sailing_model::fixtures;
 
     #[test]

@@ -9,9 +9,8 @@
 //! cooperating processes) each run [`AccuCopy::run_shard`] over one
 //! [`PairRange`] of the sorted pair list, and the coordinator folds the
 //! resulting [`PartialDependence`] records back together with
-//! [`AccuCopy::merge_partials`], which rebuilds the full
-//! [`DependenceMatrix`] and runs the vote → accuracy-estimate →
-//! convergence tail.
+//! [`AccuCopy::merge_partials`], which concatenates them in pair order
+//! and runs the vote → accuracy-estimate → convergence tail.
 //!
 //! # Exactness
 //!
@@ -24,30 +23,27 @@
 //! * per-pair detection and direction refinement touch no cross-pair
 //!   state, so concatenating per-range outputs in range order
 //!   reproduces the monolithic detection output element for element;
-//! * the merge tail replays `run_warm`'s iteration body in the same
-//!   order on the same `f64`s (vote with the *old* accuracies,
-//!   re-estimate, convergence test, and only then the second vote).
+//! * the merge tail is [`AccuCopy::run_warm`]'s iteration step itself,
+//!   run on the same `f64`s in the same order.
 //!
 //! Each partial is stamped with the [`state digest`](PartialDependence::state_digest)
 //! of the iteration state it was computed against; the merge rejects
 //! stale or mismatched partials rather than folding them in, so a
 //! worker that raced an old epoch can never skew the posterior.
 //!
-//! The discovery [`Watchdog`](crate::Watchdog) is **not** armed on the
-//! sharded path: the coordinator's iteration cap is the only stop, and
-//! callers needing wall-clock bounds enforce them around the fan-out.
+//! The sharded loop is the same [`AccuCopy::drive`] loop as the
+//! monolithic one, so the pipeline's armed [`Watchdog`](crate::Watchdog)
+//! (limit cycles, deadline) stops a sharded run exactly where it stops
+//! [`AccuCopy::run_warm`], with the same [`Termination`].
 
 use serde::{Deserialize, Serialize};
 
-use sailing_model::{SailingError, SnapshotView};
+use sailing_model::{fx_mix, SailingError, SnapshotView};
 
-use crate::accuracy::{estimate_accuracies, max_delta};
-use crate::pairs::{candidate_pairs, detect_all_with_pairs};
-use crate::pipeline::{refine_directions, seed_accuracies, state_digest};
+use crate::pipeline::seed_accuracies;
 use crate::pipeline::{AccuCopy, PipelineResult, Termination};
 use crate::report::PairDependence;
-use crate::truth::{naive_probabilities, DependenceMatrix};
-use crate::truth::{weighted_vote, ValueProbabilities};
+use crate::truth::naive_probabilities;
 
 /// One contiguous half-open slice `[start, end)` of the canonical sorted
 /// candidate-pair list.
@@ -124,13 +120,33 @@ pub struct ShardStep {
     pub done: bool,
 }
 
-/// The digest a [`PartialDependence`] computed against `state` must
-/// carry ([`PartialDependence::state_digest`]) — what a coordinator
-/// compares before *adopting* a partial published by a cooperating
+/// Order-sensitive digest of an iteration state: every accuracy bit and
+/// every posterior (object, value, probability) bit. Same hash family as
+/// [`SnapshotView::content_hash`]; not cryptographic.
+///
+/// It has two uses. A [`PartialDependence`] computed against `state`
+/// carries it ([`PartialDependence::state_digest`]), and a coordinator
+/// compares it before *adopting* a partial published by a cooperating
 /// process, so a stale one is recomputed locally instead of poisoning
-/// the merge.
+/// the merge. And the [`Watchdog`](crate::Watchdog) records it per
+/// iteration: an exact recurrence means the deterministic loop has
+/// entered a cycle. A 64-bit collision there would end a run a few
+/// iterations early as a (correctly non-converged) `LimitCycle` — a
+/// wrong *diagnosis label* at worst, never a wrong posterior served.
 pub fn iteration_digest(state: &PipelineResult) -> u64 {
-    state_digest(&state.accuracies, &state.probabilities)
+    let mut h = fx_mix(0x63_79_63_6c_65, state.accuracies.len() as u64); // "cycle"
+    for a in &state.accuracies {
+        h = fx_mix(h, a.to_bits());
+    }
+    let probabilities = &state.probabilities;
+    for o in probabilities.objects() {
+        h = fx_mix(h, u64::from(o.0));
+        for &(v, p) in probabilities.distribution(o) {
+            h = fx_mix(h, u64::from(v.0));
+            h = fx_mix(h, p.to_bits());
+        }
+    }
+    h
 }
 
 /// Splits `[0, total_pairs)` into at most `workers` contiguous
@@ -162,11 +178,7 @@ impl AccuCopy {
     /// these parameters — zero when copy detection is disabled. This is
     /// the `total_pairs` that [`shard_ranges`] should tile.
     pub fn pair_count(&self, snapshot: &SnapshotView) -> usize {
-        if self.params().enable_copy_detection {
-            candidate_pairs(snapshot, self.params().min_overlap).len()
-        } else {
-            0
-        }
+        self.candidates(snapshot).len()
     }
 
     /// The iteration-zero state every participant must agree on before
@@ -174,6 +186,13 @@ impl AccuCopy {
     /// warm-seeded) accuracy vector, with `iterations == 0`. Shares the
     /// warm-start gating of [`AccuCopy::run_warm`] — non-converged or
     /// accuracy-blind priors are ignored.
+    ///
+    /// The posteriors are naive vote shares even when warm: they feed the
+    /// *first* dependence-detection pass, and seeding it with saturated
+    /// posteriors — the prior's, or any weighted vote's — hides the
+    /// shared-false-value mass copy detection needs, steering the loop
+    /// into the copier-locked fixpoint. Warmth lives in the accuracy seed
+    /// alone, which is what the convergence criterion measures.
     pub fn bootstrap_sharded(
         &self,
         snapshot: &SnapshotView,
@@ -203,37 +222,23 @@ impl AccuCopy {
         range: PairRange,
         state: &PipelineResult,
     ) -> PartialDependence {
-        let p = self.params();
-        let candidates = if p.enable_copy_detection {
-            candidate_pairs(snapshot, p.min_overlap)
-        } else {
-            Vec::new()
-        };
+        let candidates = self.candidates(snapshot);
         let total = candidates.len();
         let start = range.start.min(total);
         let end = range.end.clamp(start, total);
-        let mut dependences = detect_all_with_pairs(
-            snapshot,
-            &candidates[start..end],
-            &state.probabilities,
-            &state.accuracies,
-            p,
-        );
-        refine_directions(snapshot, &state.probabilities, &mut dependences);
         PartialDependence {
             range: PairRange { start, end },
             total_pairs: total,
-            state_digest: state_digest(&state.accuracies, &state.probabilities),
-            dependences,
+            state_digest: iteration_digest(state),
+            dependences: self.detect(snapshot, &candidates[start..end], state),
         }
     }
 
     /// Merges one iteration's partials and runs the cheap global tail:
-    /// concatenates the per-range dependences in canonical order,
-    /// rebuilds the full [`DependenceMatrix`], votes with the *old*
-    /// accuracies, re-estimates accuracies, tests convergence, and (only
-    /// when not converged) re-votes with the fresh accuracies — exactly
-    /// [`AccuCopy::run_warm`]'s iteration body.
+    /// concatenates the per-range dependences in canonical order and runs
+    /// [`AccuCopy::run_warm`]'s own iteration step on them (vote with the
+    /// *old* accuracies, re-estimate, test convergence, and only when not
+    /// converged re-vote with the fresh accuracies).
     ///
     /// # Errors
     /// Rejects (without partial effects) any fan-in that cannot be
@@ -250,14 +255,13 @@ impl AccuCopy {
         state: &PipelineResult,
         partials: &[PartialDependence],
     ) -> Result<ShardStep, SailingError> {
-        let p = self.params();
         let Some(first) = partials.first() else {
             return Err(SailingError::config(
                 "shard merge",
                 "no partials to merge; every iteration needs a full tiling",
             ));
         };
-        let expected_digest = state_digest(&state.accuracies, &state.probabilities);
+        let expected_digest = iteration_digest(state);
         let total = first.total_pairs;
         let mut sorted: Vec<&PartialDependence> = partials.iter().collect();
         sorted.sort_by_key(|part| (part.range.start, part.range.end));
@@ -299,55 +303,19 @@ impl AccuCopy {
             ));
         }
 
-        let mut dependences: Vec<PairDependence> = Vec::new();
-        let matrix = if p.enable_copy_detection {
-            for part in &sorted {
-                dependences.extend(part.dependences.iter().cloned());
-            }
-            DependenceMatrix::from_pairs(&dependences)
-        } else {
-            // `run_warm` never touches the matrix or the dependence list
-            // with detection off; mirror that exactly.
-            DependenceMatrix::new()
-        };
-
-        let iterations = state.iterations + 1;
-        let mut probabilities: ValueProbabilities =
-            weighted_vote(snapshot, &state.accuracies, &matrix, p);
-        let new_accuracies = estimate_accuracies(snapshot, &probabilities, p);
-        let delta = max_delta(&state.accuracies, &new_accuracies);
-        let accuracies = new_accuracies;
-        let converged = delta < p.convergence_epsilon;
-        if !converged {
-            // The second vote damps copied votes with the fresh
-            // accuracies before the next detection pass; a converged
-            // iteration skips it, exactly as the monolithic loop does.
-            probabilities = weighted_vote(snapshot, &accuracies, &matrix, p);
-        }
-        Ok(ShardStep {
-            done: converged || iterations >= p.max_iterations,
-            state: PipelineResult {
-                probabilities,
-                accuracies,
-                dependences,
-                iterations,
-                converged,
-                termination: if converged {
-                    Termination::Converged
-                } else {
-                    Termination::IterationCap
-                },
-            },
-        })
+        let dependences: Vec<PairDependence> = sorted
+            .iter()
+            .flat_map(|part| part.dependences.iter().cloned())
+            .collect();
+        Ok(self.step(snapshot, state, dependences))
     }
 
-    /// The inline (single-participant) sharded driver: fans each
-    /// iteration's detection over `workers` ranges via
-    /// [`AccuCopy::run_shard`] and folds them with
+    /// The inline (single-participant) sharded driver: the
+    /// [`AccuCopy::drive`] loop with each iteration's detection fanned
+    /// over `workers` ranges via [`AccuCopy::run_shard`] and folded with
     /// [`AccuCopy::merge_partials`]. Produces a result bitwise identical
-    /// to [`AccuCopy::run_warm`] (without the watchdog) — the reference
-    /// the engine's threaded and multi-process drivers are pinned
-    /// against.
+    /// to [`AccuCopy::run_warm`], watchdog stops included — the reference
+    /// the engine's threaded and multi-process drivers are pinned against.
     ///
     /// # Errors
     /// Propagates [`AccuCopy::merge_partials`] failures; none occur when
@@ -359,19 +327,13 @@ impl AccuCopy {
         workers: usize,
     ) -> Result<PipelineResult, SailingError> {
         let ranges = shard_ranges(self.pair_count(snapshot), workers);
-        let mut state = self.bootstrap_sharded(snapshot, prior);
-        while state.iterations < self.params().max_iterations {
+        self.drive(snapshot, prior, |state| {
             let partials: Vec<PartialDependence> = ranges
                 .iter()
-                .map(|&range| self.run_shard(snapshot, range, &state))
+                .map(|&range| self.run_shard(snapshot, range, state))
                 .collect();
-            let step = self.merge_partials(snapshot, &state, &partials)?;
-            state = step.state;
-            if step.done {
-                break;
-            }
-        }
-        Ok(state)
+            self.merge_partials(snapshot, state, &partials)
+        })
     }
 }
 

@@ -12,7 +12,7 @@ use serde::{Content, Deserialize, Error as SerdeError, Serialize};
 
 use sailing_core::truth::ValueProbabilities;
 use sailing_core::{
-    Accu, AccuCopy, DetectionParams, NaiveVote, PairDependence, PipelineResult, SailingError,
+    AccuCopy, DetectionParams, NaiveVote, PairDependence, PipelineResult, SailingError,
     TruthDiscovery,
 };
 use sailing_model::{ObjectId, SnapshotView, ValueId};
@@ -48,7 +48,7 @@ impl FusionStrategy {
     pub fn discovery(&self) -> Result<Box<dyn TruthDiscovery>, SailingError> {
         Ok(match self {
             FusionStrategy::NaiveVote => Box::new(NaiveVote::new()),
-            FusionStrategy::AccuracyVote => Box::new(Accu::with_defaults()),
+            FusionStrategy::AccuracyVote => Box::new(AccuCopy::baseline()),
             FusionStrategy::DependenceAware(params) => Box::new(AccuCopy::new(params.clone())?),
         })
     }

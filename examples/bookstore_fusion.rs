@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example bookstore_fusion`.
 
-use sailing::core::{Accu, NaiveVote};
+use sailing::core::{AccuCopy, NaiveVote};
 use sailing::datagen::bookstores::{BookCorpus, BookCorpusConfig};
 use sailing::engine::SailingEngine;
 use sailing::query::OrderingPolicy;
@@ -53,7 +53,7 @@ fn main() -> Result<(), sailing::SailingError> {
             .strategy(NaiveVote::new())
             .build()?,
         SailingEngine::builder()
-            .strategy(Accu::with_defaults())
+            .strategy(AccuCopy::baseline())
             .build()?,
         // Attaching the corpus config makes Example 4.1's screening
         // (pairs sharing ≥ 10 books) the engine default — without it the

@@ -169,19 +169,18 @@ fn shard_partial_name(hash: u64, iteration: usize, range: PairRange) -> String {
     )
 }
 
-/// Joins scoped workers in spawn order. A worker's panic becomes
-/// [`SailingError::WorkerPanicked`] instead of re-raising on the
-/// coordinating thread; every handle is joined first, so no panicked
-/// worker is left for the scope to re-raise.
+/// Joins scoped workers in spawn order, one outcome per worker. A
+/// worker's panic becomes [`SailingError::WorkerPanicked`] instead of
+/// re-raising on the coordinating thread; every handle is joined, so no
+/// panicked worker is left for the scope to re-raise.
 fn join_workers<T>(
     context: &'static str,
     handles: Vec<std::thread::ScopedJoinHandle<'_, T>>,
-) -> Result<Vec<T>, SailingError> {
-    let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-    joined
+) -> Vec<Result<T, SailingError>> {
+    handles
         .into_iter()
-        .map(|outcome| {
-            outcome.map_err(|payload| {
+        .map(|handle| {
+            handle.join().map_err(|payload| {
                 let reason = payload
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
@@ -408,14 +407,14 @@ impl SailingEngineBuilder {
         self
     }
 
-    /// Arms a **discovery watchdog** on the default ACCU-COPY strategy: a
-    /// wall-clock deadline and/or limit-cycle detection that end a
-    /// non-converging run as a typed outcome
-    /// ([`Analysis::termination`]) instead of spinning to the iteration
-    /// cap. Rejected on [`SailingEngineBuilder::build`] when combined
-    /// with [`SailingEngineBuilder::strategy`] — a custom strategy runs
-    /// its own loop, so the watchdog could never reach it; configure it
-    /// on the strategy object instead.
+    /// Arms a **discovery watchdog** on the default ACCU-COPY strategy and
+    /// on [`SailingEngine::analyze_sharded`]: a wall-clock deadline and/or
+    /// limit-cycle detection that end a non-converging run as a typed
+    /// outcome ([`Analysis::termination`]) instead of spinning to the
+    /// iteration cap. Rejected on [`SailingEngineBuilder::build`] when
+    /// combined with [`SailingEngineBuilder::strategy`] — a custom
+    /// strategy runs its own loop, so the watchdog could never reach it;
+    /// configure it on the strategy object instead.
     #[must_use]
     pub fn discovery_watchdog(mut self, watchdog: Watchdog) -> Self {
         self.watchdog = Some(watchdog);
@@ -471,6 +470,7 @@ impl SailingEngineBuilder {
             params.min_overlap = params.min_overlap.max(min_shared);
         }
         params.validate()?;
+        let watchdog = self.watchdog.unwrap_or_default();
         let strategy: Arc<dyn TruthDiscovery> = match self.strategy {
             Some(s) => {
                 // Same conflict rule as params below: the watchdog lives
@@ -507,13 +507,7 @@ impl SailingEngineBuilder {
                 }
                 s
             }
-            None => {
-                let pipeline = AccuCopy::new(params.clone())?;
-                Arc::new(match self.watchdog {
-                    Some(watchdog) => pipeline.with_watchdog(watchdog),
-                    None => pipeline,
-                })
-            }
+            None => Arc::new(AccuCopy::new(params.clone())?.with_watchdog(watchdog)),
         };
         self.temporal_params.validate()?;
         let persist = match self.persist_dir {
@@ -545,6 +539,7 @@ impl SailingEngineBuilder {
         };
         Ok(SailingEngine {
             params,
+            watchdog,
             strategy,
             trust_weights: self.trust_weights,
             temporal_params: self.temporal_params,
@@ -567,6 +562,10 @@ impl SailingEngineBuilder {
 #[derive(Clone)]
 pub struct SailingEngine {
     params: DetectionParams,
+    /// The discovery watchdog armed through
+    /// [`SailingEngineBuilder::discovery_watchdog`] — inside the default
+    /// strategy, and on every [`SailingEngine::analyze_sharded`] run.
+    watchdog: Watchdog,
     strategy: Arc<dyn TruthDiscovery>,
     trust_weights: TrustWeights,
     temporal_params: TemporalParams,
@@ -763,9 +762,11 @@ impl SailingEngine {
     /// pass of each discovery iteration over `workers` contiguous ranges
     /// of the candidate-pair list (see [`sailing_core::shard`]) and folds
     /// the partials back into a result **bitwise identical** to
-    /// [`SailingEngine::analyze`] on the same snapshot (without any
-    /// configured watchdog, which the sharded path does not arm — the
-    /// coordinator's iteration cap is the only stop).
+    /// [`SailingEngine::analyze`] on the same snapshot. The loop runs under
+    /// the watchdog armed with
+    /// [`SailingEngineBuilder::discovery_watchdog`], so a limit cycle or a
+    /// deadline stops it at the same iteration, with the same
+    /// [`Analysis::termination`], as the monolithic run.
     ///
     /// Without a persistent store the fan-out runs on `workers` scoped
     /// threads in this process. With one attached
@@ -809,7 +810,7 @@ impl SailingEngine {
                 ),
             ));
         }
-        let pipeline = AccuCopy::new(self.params.clone())?;
+        let pipeline = AccuCopy::new(self.params.clone())?.with_watchdog(self.watchdog);
         // The coordinator quotients once, before any ranges are cut: every
         // worker (local thread or cooperating process) sees the quotiented
         // snapshot, and the partial blob/claim names carry the equivalence
@@ -820,17 +821,10 @@ impl SailingEngine {
         let snapshot = snapshot.into_arc();
         let ranges = shard_ranges(pipeline.pair_count(&snapshot), workers.max(1));
         let hash = quotient_keyed_hash(snapshot.content_hash(), quotient_digest);
-        let mut state = pipeline.bootstrap_sharded(&snapshot, None);
-        while state.iterations < self.params.max_iterations {
-            let iteration = state.iterations + 1;
-            let partials =
-                self.sharded_iteration(&pipeline, &snapshot, &ranges, &state, hash, iteration)?;
-            let step = pipeline.merge_partials(&snapshot, &state, &partials)?;
-            state = step.state;
-            if step.done {
-                break;
-            }
-        }
+        let state = pipeline.drive(&snapshot, None, |state| {
+            let partials = self.sharded_iteration(&pipeline, &snapshot, &ranges, state, hash)?;
+            pipeline.merge_partials(&snapshot, state, &partials)
+        })?;
         if let Some(store) = self.persist.as_deref() {
             // Best-effort sweep of the run's coordination files. A racing
             // straggler re-publishing after this sweep cleans up again
@@ -859,8 +853,8 @@ impl SailingEngine {
         ranges: &[PairRange],
         state: &PipelineResult,
         hash: u64,
-        iteration: usize,
     ) -> Result<Vec<PartialDependence>, SailingError> {
+        let iteration = state.iterations + 1;
         let store = self.persist.as_deref();
         let (mine, theirs): (Vec<PairRange>, Vec<PairRange>) = match store {
             Some(store) => ranges
@@ -880,6 +874,8 @@ impl SailingEngine {
                     .map(|&r| scope.spawn(move || pipeline.run_shard(snapshot, r, state)))
                     .collect();
                 join_workers("shard", handles)
+                    .into_iter()
+                    .collect::<Result<_, _>>()
             })?
         };
         self.shard
@@ -1946,7 +1942,9 @@ impl TimelineSession {
     /// count its spend. The converged-prior gating is preserved exactly —
     /// the prior chain advances through the consumed epochs, and any
     /// epoch missing from the batch falls back to the warm-started
-    /// sequential path unchanged.
+    /// sequential path unchanged. That includes every epoch of a worker
+    /// that panicked: its chunk is dropped rather than re-raised, and is
+    /// not counted in the return value.
     pub fn prefetch_cold(&mut self, threads: usize) -> usize {
         let threads = threads.max(1);
         let mut pending: Vec<(Timestamp, Arc<SnapshotView>)> = Vec::new();
@@ -1996,36 +1994,35 @@ impl TimelineSession {
                 }
             }
         }
-        let computed = pending.len();
         // LPT over assertion counts: discovery cost scales with snapshot
         // size, and equal-length contiguous chunks would let one fat chunk
         // serialize the scope.
         let chunks = balanced_epoch_chunks(&pending, threads);
         let strategy = Arc::clone(&self.engine.strategy);
-        let results: Vec<Vec<(Timestamp, Arc<SnapshotView>, PipelineResult)>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|chunk| {
-                        let strategy = Arc::clone(&strategy);
-                        scope.spawn(move || {
-                            chunk
-                                .into_iter()
-                                .map(|(at, snapshot)| {
-                                    let result = strategy.run_warm(&snapshot, None);
-                                    (at, snapshot, result)
-                                })
-                                .collect()
-                        })
+        let results = std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .into_iter()
+                .map(|chunk| {
+                    let strategy = Arc::clone(&strategy);
+                    scope.spawn(move || {
+                        chunk
+                            .into_iter()
+                            .map(|(at, snapshot)| {
+                                let result = strategy.run_warm(&snapshot, None);
+                                (at, snapshot, result)
+                            })
+                            .collect::<Vec<_>>()
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("cold-epoch worker panicked"))
-                    .collect()
-            });
+                })
+                .collect();
+            join_workers("cold-epoch", handles)
+        });
+        // A panicked chunk's epochs (and their content repeats) stay
+        // un-batched and take the sequential warm path when reached.
+        let mut computed = 0;
         let mut by_hash: BTreeMap<u64, (Arc<SnapshotView>, Arc<PipelineResult>)> = BTreeMap::new();
-        for (at, snapshot, result) in results.into_iter().flatten() {
+        for (at, snapshot, result) in results.into_iter().flatten().flatten() {
+            computed += 1;
             // Re-deriving the quotient digest from the already-quotiented
             // snapshot is stable (the partition depends only on the value
             // arena, which rides along), so this key equals the probe key
@@ -2050,9 +2047,9 @@ impl TimelineSession {
         // like the cache hits they would have been on the sequential walk
         // (the one fresh computation is already accounted above).
         for (at, hash) in repeats {
-            let (snapshot, result) = by_hash
-                .get(&hash)
-                .expect("repeat epoch's content was scheduled for computation");
+            let Some((snapshot, result)) = by_hash.get(&hash) else {
+                continue;
+            };
             self.batched.insert(
                 at,
                 BatchSlot {
@@ -2613,7 +2610,7 @@ fn trivial_result() -> PipelineResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sailing_core::{Accu, NaiveVote};
+    use sailing_core::NaiveVote;
     use sailing_fusion::{fuse, FusionStrategy};
     use sailing_model::fixtures;
 
@@ -2709,7 +2706,7 @@ mod tests {
             .build()
             .unwrap();
         let accu = SailingEngine::builder()
-            .strategy(Accu::with_defaults())
+            .strategy(AccuCopy::baseline())
             .build()
             .unwrap();
         let p_naive = truth
@@ -3430,6 +3427,8 @@ mod tests {
                 scope.spawn(|| 3),
             ];
             join_workers("shard", handles)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
         });
         assert_eq!(
             joined,
@@ -3441,6 +3440,8 @@ mod tests {
         let ok = std::thread::scope(|scope| {
             let handles = (0..3).map(|i| scope.spawn(move || i * 2)).collect();
             join_workers("shard", handles)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
         });
         assert_eq!(ok, Ok(vec![0, 2, 4]));
     }

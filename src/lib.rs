@@ -94,7 +94,7 @@
 //! ```
 //!
 //! Strategies are pluggable: pass
-//! [`NaiveVote`](core::NaiveVote) / [`Accu`](core::Accu) (or your own
+//! [`NaiveVote`](core::NaiveVote) / [`AccuCopy::baseline`](core::AccuCopy::baseline) (or your own
 //! [`TruthDiscovery`](core::TruthDiscovery) implementation) to
 //! [`SailingEngine::builder`] to reproduce the paper's baseline ladder
 //! through one code path.

@@ -136,6 +136,18 @@ fn breaker_cycles_open_half_open_closed_under_persistent_failure() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A world whose discovery loop oscillates with period 7. The cycle
+/// closes around iteration 80; the parameters give the loop room to show
+/// it would spin well past the default 20-iteration cap.
+fn oscillating_world() -> (Arc<SnapshotView>, sailing::core::DetectionParams) {
+    let config = WorldConfig::specialist(6, 10, 6, 32);
+    let params = sailing::core::DetectionParams {
+        max_iterations: 200,
+        ..sailing::core::DetectionParams::default()
+    };
+    (Arc::new(SnapshotWorld::generate(&config).snapshot), params)
+}
+
 /// A **genuine** oscillation, not an injected one: this sparse world
 /// (found by sweeping seeded specialist worlds) flip-flops with period 7
 /// under the default hard damping threshold instead of converging. The
@@ -144,15 +156,7 @@ fn breaker_cycles_open_half_open_closed_under_persistent_failure() {
 /// snapshot.
 #[test]
 fn watchdog_ends_a_genuinely_oscillating_run_as_a_limit_cycle() {
-    let config = WorldConfig::specialist(6, 10, 6, 32);
-    let snap = Arc::new(SnapshotWorld::generate(&config).snapshot);
-    // The cycle closes around iteration 80; give the loop room to show
-    // it would spin well past the default 20-iteration cap.
-    let params = sailing::core::DetectionParams {
-        max_iterations: 200,
-        ..sailing::core::DetectionParams::default()
-    };
-
+    let (snap, params) = oscillating_world();
     let watched = SailingEngine::builder()
         .params(params.clone())
         .discovery_watchdog(Watchdog::off().limit_cycles())
@@ -172,6 +176,60 @@ fn watchdog_ends_a_genuinely_oscillating_run_as_a_limit_cycle() {
         analysis.result_arc().iterations < plain.result_arc().iterations,
         "the watchdog must stop the spin before the iteration cap"
     );
+}
+
+/// The sharded loop runs under the builder's watchdog: for every worker
+/// count it stops on the same limit cycle, at the same iteration, with
+/// the same accuracy bits as the monolithic analysis.
+#[test]
+fn watchdog_ends_a_sharded_run_on_the_same_limit_cycle() {
+    let (snap, params) = oscillating_world();
+    let engine = SailingEngine::builder()
+        .params(params)
+        .discovery_watchdog(Watchdog::off().limit_cycles())
+        .build()
+        .unwrap();
+    let solo = engine.analyze_owned(Arc::clone(&snap));
+    assert!(
+        matches!(solo.termination(), Termination::LimitCycle { .. }),
+        "{:?}",
+        solo.termination()
+    );
+    for workers in 1..=3 {
+        let sharded = engine.analyze_sharded(&snap, workers).unwrap();
+        assert_eq!(
+            sharded.termination(),
+            solo.termination(),
+            "workers={workers}"
+        );
+        assert_eq!(
+            sharded.result().iterations,
+            solo.result().iterations,
+            "workers={workers}"
+        );
+        assert!(!sharded.converged());
+        assert_eq!(sharded.accuracies().len(), solo.accuracies().len());
+        for (x, y) in sharded.accuracies().iter().zip(solo.accuracies()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "workers={workers}");
+        }
+    }
+}
+
+/// A zero deadline ends a sharded run after its first iteration.
+#[test]
+fn zero_deadline_ends_a_sharded_run_after_one_iteration() {
+    let (snap, params) = oscillating_world();
+    let engine = SailingEngine::builder()
+        .params(params)
+        .discovery_watchdog(Watchdog::off().deadline(Duration::ZERO))
+        .build()
+        .unwrap();
+    for workers in 1..=3 {
+        let sharded = engine.analyze_sharded(&snap, workers).unwrap();
+        assert_eq!(sharded.termination(), Termination::DeadlineExceeded);
+        assert_eq!(sharded.result().iterations, 1, "workers={workers}");
+        assert!(!sharded.converged());
+    }
 }
 
 /// A discovery strategy that deterministically refuses to converge on

@@ -5,7 +5,7 @@
 
 use sailing::core::dissim::RatingView;
 use sailing::core::truth::DependenceMatrix;
-use sailing::core::{Accu, AccuCopy, DetectionParams, NaiveVote, TruthDiscovery};
+use sailing::core::{AccuCopy, DetectionParams, NaiveVote, TruthDiscovery};
 use sailing::datagen::bookstores::{BookCorpus, BookCorpusConfig};
 use sailing::engine::SailingEngine;
 use sailing::fusion::{fuse, FusionStrategy};
@@ -165,10 +165,7 @@ fn table1_parity_across_all_strategies() {
 
     let cases: Vec<(FusionStrategy, Box<dyn TruthDiscovery>)> = vec![
         (FusionStrategy::NaiveVote, Box::new(NaiveVote::new())),
-        (
-            FusionStrategy::AccuracyVote,
-            Box::new(Accu::with_defaults()),
-        ),
+        (FusionStrategy::AccuracyVote, Box::new(AccuCopy::baseline())),
         (
             FusionStrategy::dependence_aware(),
             Box::new(AccuCopy::with_defaults()),

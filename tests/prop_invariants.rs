@@ -10,7 +10,7 @@ use rand::Rng as _;
 
 use sailing::core::dissim::{DissimParams, RatingView};
 use sailing::core::truth::{naive_probabilities, weighted_vote, DependenceMatrix};
-use sailing::core::{copy, AccuCopy, DetectionParams, Termination};
+use sailing::core::{copy, AccuCopy, DetectionParams, Termination, Watchdog};
 use sailing::datagen::rng;
 use sailing::linkage::{jaro_winkler, levenshtein, normalize, normalized_eq, parse_author_list};
 use sailing::model::{
@@ -673,11 +673,13 @@ fn incremental_run_delta_matches_full_warm_rerun() {
 /// The pair-sharded coordinator (`run_sharded`, the reference driver for
 /// `SailingEngine::analyze_sharded`) must reproduce the monolithic loop
 /// **bitwise** — same iterations, same accuracies, same posteriors, same
-/// dependences (which subsumes the 1e-9 acceptance bound) — on random
-/// worlds, random shard counts, and warm-started runs.
+/// dependences (which subsumes the 1e-9 acceptance bound), same
+/// termination — on random worlds, random shard counts, and warm-started
+/// runs. Every other case arms limit-cycle detection, which both loops
+/// must apply at the same iteration.
 #[test]
 fn sharded_analysis_matches_monolithic_on_random_worlds() {
-    let pipeline = AccuCopy::new(DetectionParams {
+    let unwatched = AccuCopy::new(DetectionParams {
         hard_damping_threshold: 1.0,
         convergence_epsilon: 1e-12,
         // The default 20-iteration cap never reaches a 1e-12 fixpoint;
@@ -686,8 +688,12 @@ fn sharded_analysis_matches_monolithic_on_random_worlds() {
         ..DetectionParams::default()
     })
     .unwrap();
+    let watched = unwatched
+        .clone()
+        .with_watchdog(Watchdog::off().limit_cycles());
     let mut checked = 0usize;
     for case in 0..CASES {
+        let pipeline = if case % 2 == 0 { &watched } else { &unwatched };
         let mut r = rng(16_000 + case);
         let snapshot = random_snapshot(16_500 + case);
         let workers = r.gen_range(1..7usize);
@@ -695,6 +701,7 @@ fn sharded_analysis_matches_monolithic_on_random_worlds() {
         let sharded = pipeline.run_sharded(&snapshot, None, workers).unwrap();
         assert_eq!(sharded.iterations, monolithic.iterations, "case {case}");
         assert_eq!(sharded.converged, monolithic.converged, "case {case}");
+        assert_eq!(sharded.termination, monolithic.termination, "case {case}");
         for (i, (x, y)) in sharded
             .accuracies
             .iter()

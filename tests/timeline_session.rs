@@ -13,9 +13,10 @@
 //! each lands on the loop's fixpoint rather than an epsilon-ball around it;
 //! the iteration counts then measure exactly what warm starting saves.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sailing::core::{DetectionParams, PipelineResult};
+use sailing::core::{AccuCopy, DetectionParams, PipelineResult, TruthDiscovery};
 use sailing::datagen::temporal::{table3_style, TemporalWorld};
 use sailing::engine::SailingEngine;
 use sailing::model::{fixtures, History, SnapshotView};
@@ -285,6 +286,76 @@ fn batched_cold_timeline_matches_sequential_posteriors_and_accounting() {
         batched_spend >= seq_spend,
         "batched {batched_spend} vs sequential {seq_spend}"
     );
+}
+
+/// ACCU-COPY whose first discovery call panics.
+struct PanicsOnce {
+    inner: AccuCopy,
+    fired: AtomicBool,
+}
+
+impl TruthDiscovery for PanicsOnce {
+    fn name(&self) -> &'static str {
+        "panics-once"
+    }
+
+    fn discover(&self, snapshot: &SnapshotView) -> PipelineResult {
+        self.run_warm(snapshot, None)
+    }
+
+    fn run_warm(&self, snapshot: &SnapshotView, prior: Option<&PipelineResult>) -> PipelineResult {
+        if !self.fired.swap(true, Ordering::SeqCst) {
+            panic!("first discovery call exploded");
+        }
+        self.inner.run_warm(snapshot, prior)
+    }
+
+    fn detection_params(&self) -> Option<&DetectionParams> {
+        Some(self.inner.params())
+    }
+}
+
+/// A panicking cold-epoch worker neither unwinds into the caller nor
+/// loses epochs: its chunk is left out of the batch (and of the returned
+/// count), those epochs take the sequential warm path, and the walk
+/// decides every epoch as a plain timeline does.
+#[test]
+fn prefetch_drops_a_panicked_chunk_to_the_sequential_path() {
+    let world = seeded_world();
+    let history = Arc::new(world.history.clone());
+    let plain = SailingEngine::builder()
+        .params(pinned_params())
+        .cache_capacity(0)
+        .build()
+        .unwrap();
+    let sequential: Vec<_> = plain.timeline_owned(Arc::clone(&history)).collect();
+
+    let engine = SailingEngine::builder()
+        .strategy(PanicsOnce {
+            inner: AccuCopy::new(pinned_params()).unwrap(),
+            fired: AtomicBool::new(false),
+        })
+        .cache_capacity(0)
+        .build()
+        .unwrap();
+    let mut session = engine.timeline_owned(Arc::clone(&history));
+    let computed = session.prefetch_cold(4);
+    assert!(
+        computed < sequential.len(),
+        "the panicked chunk's epochs are not counted ({computed} of {})",
+        sequential.len()
+    );
+    let walked: Vec<_> = session.by_ref().collect();
+    assert_eq!(walked.len(), sequential.len(), "every epoch is yielded");
+    for (s, w) in sequential.iter().zip(&walked) {
+        assert_eq!(s.timestamp(), w.timestamp());
+        assert_eq!(
+            s.analysis().decisions(),
+            w.analysis().decisions(),
+            "epoch {}",
+            s.timestamp()
+        );
+    }
 }
 
 /// Re-walking a batched timeline against the now-warm cache mirrors the
