@@ -32,10 +32,10 @@
 //!
 //! Schema 4 adds `async_write_behind`: the per-analysis latency of the
 //! engine with no persistence, with the synchronous write-behind store,
-//! and with the **async writer thread** (`persist_async`) — the async
-//! path must keep the analysis thread syscall-free (asserted via the
-//! store's writer-thread record) and, on non-smoke runs, land within 5%
-//! of the persist-off latency.
+//! and with the **async writer thread** (`StoreOptions::async_writer`) —
+//! the async path must keep the analysis thread syscall-free (asserted
+//! via the store's writer-thread record) and, on non-smoke runs, land
+//! within 5% of the persist-off latency.
 //!
 //! Schema 5 adds `streaming_ingest`: a churn world streamed through the
 //! ingest subsystem (claim log → sealed deltas → `run_delta`) against a
@@ -553,10 +553,10 @@ fn main() {
         let warm_engine = SailingEngine::builder().cache_capacity(0).build().unwrap();
         let cold_engine = SailingEngine::builder().cache_capacity(0).build().unwrap();
 
-        // Build the session outside the timed region: `timeline_owned`
+        // Build the session outside the timed region: `timeline`
         // eagerly runs whole-history temporal dependence detection, which
         // the cold path never pays — timing it would overstate warm_ms.
-        let mut session = warm_engine.timeline_owned(Arc::clone(&history));
+        let mut session = warm_engine.timeline(Arc::clone(&history));
         let (warm_iters, t_warm) = time_ms(|| {
             while session.next_epoch().is_some() {}
             session.total_iterations()
@@ -632,11 +632,11 @@ fn main() {
         // First process: batched cold walk (so the store holds cold-keyed
         // entries), write-through + final flush inside the timed region —
         // persistence cost is part of the honest cold number. Session
-        // construction stays outside it: `timeline_owned` eagerly runs
+        // construction stays outside it: `timeline` eagerly runs
         // whole-history temporal detection, which both paths pay
         // identically (same discipline as E7b).
         let first = SailingEngine::builder().persist_dir(&dir).build().unwrap();
-        let mut session = first.timeline_owned(Arc::clone(&history));
+        let mut session = first.timeline(Arc::clone(&history));
         let (cold_iters, t_cold) = time_ms(|| {
             session.prefetch_cold(1);
             while session.next_epoch().is_some() {}
@@ -648,7 +648,7 @@ fn main() {
 
         // Second process: a fresh engine over the same directory.
         let second = SailingEngine::builder().persist_dir(&dir).build().unwrap();
-        let mut session = second.timeline_owned(Arc::clone(&history));
+        let mut session = second.timeline(Arc::clone(&history));
         let ((reuse_iters, served), t_reuse) = time_ms(|| {
             session.prefetch_cold(1);
             let mut served = 0usize;
@@ -724,7 +724,7 @@ fn main() {
         let epochs = history.change_points().count();
 
         let seq_engine = SailingEngine::builder().cache_capacity(0).build().unwrap();
-        let mut session = seq_engine.timeline_owned(Arc::clone(&history));
+        let mut session = seq_engine.timeline(Arc::clone(&history));
         let (seq_iters, t_seq) = time_ms(|| {
             while session.next_epoch().is_some() {}
             session.total_iterations()
@@ -732,7 +732,7 @@ fn main() {
 
         for &threads in thread_counts {
             let par_engine = SailingEngine::builder().cache_capacity(0).build().unwrap();
-            let mut session = par_engine.timeline_owned(Arc::clone(&history));
+            let mut session = par_engine.timeline(Arc::clone(&history));
             let (batch_iters, t_batch) = time_ms(|| {
                 session.prefetch_cold(threads);
                 while session.next_epoch().is_some() {}
@@ -837,8 +837,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&async_dir);
     let async_engine = SailingEngine::builder()
         .persist_dir(&async_dir)
-        .persist_async(true)
-        .persist_queue_depth(awb_snapshots * 2)
+        .persist_options(sailing::persist::StoreOptions::async_writer(
+            awb_snapshots * 2,
+        ))
         .build()
         .unwrap();
     let ((), t_async) = time_ms(|| analyze_all(&async_engine));

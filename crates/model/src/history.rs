@@ -215,8 +215,7 @@ impl History {
     /// The suffix of [`History::change_points`] at or after `since`
     /// (inclusive): every distinct timestamp `t >= since`, ascending.
     ///
-    /// Callers that resume a timeline mid-stream — a `TimelineSession`
-    /// picking up after a checkpoint, or the ingest tier deriving deltas
+    /// Callers that resume mid-stream — the ingest tier deriving deltas
     /// for epochs it has not analysed yet — need only the tail; this skips
     /// collecting (and re-sorting) the pre-`since` epochs entirely.
     pub fn change_points_since(&self, since: Timestamp) -> impl Iterator<Item = Timestamp> + '_ {

@@ -133,24 +133,7 @@ impl ServeHandle {
     pub fn admit(&self, snapshot: Arc<SnapshotView>) -> Arc<Analysis> {
         let start = Instant::now();
         let analysis = Arc::new(self.inner.engine.analyze_owned(snapshot));
-        // Adopt the already-published Arc when the analysis is
-        // value-identical (same shared pipeline result), so ptr_eq dedup
-        // keeps re-admissions from bumping the generation.
-        let published = {
-            let current = self.inner.epoch.load();
-            if Arc::ptr_eq(&current.result_arc(), &analysis.result_arc())
-                && Arc::ptr_eq(&current.snapshot_arc(), &analysis.snapshot_arc())
-            {
-                current
-            } else {
-                analysis
-            }
-        };
-        if self.inner.epoch.publish(Arc::clone(&published)) {
-            self.inner.metrics.note_swap();
-        }
-        self.inner.metrics.record(Endpoint::Admit, start.elapsed());
-        published
+        self.publish(analysis, start)
     }
 
     /// Like [`ServeHandle::admit`], but **refuses to publish an analysis
@@ -231,6 +214,19 @@ impl ServeHandle {
             self.inner.metrics.record(Endpoint::Admit, start.elapsed());
             return self.current();
         }
+        let published = self.publish(analysis, start);
+        *self.lock_health() = Health::Healthy;
+        published
+    }
+
+    /// The publication tail shared by [`admit`](ServeHandle::admit) and
+    /// [`publish_gated`](ServeHandle::publish_gated): swap `analysis` in
+    /// as the current epoch, count the swap, and record the admission
+    /// latency since `start`.
+    fn publish(&self, analysis: Arc<Analysis>, start: Instant) -> Arc<Analysis> {
+        // Adopt the already-published Arc when the analysis is
+        // value-identical (same shared pipeline result), so ptr_eq dedup
+        // keeps re-admissions from bumping the generation.
         let published = {
             let current = self.inner.epoch.load();
             if Arc::ptr_eq(&current.result_arc(), &analysis.result_arc())
@@ -244,7 +240,6 @@ impl ServeHandle {
         if self.inner.epoch.publish(Arc::clone(&published)) {
             self.inner.metrics.note_swap();
         }
-        *self.lock_health() = Health::Healthy;
         self.inner.metrics.record(Endpoint::Admit, start.elapsed());
         published
     }

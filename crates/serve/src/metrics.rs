@@ -262,13 +262,17 @@ pub struct MetricsSnapshot {
     /// Store writes that failed at the filesystem level (deferred errors
     /// retained for `take_persist_write_errors`).
     pub disk_write_errors: u64,
-    /// Entries evicted unwritten from the async write-behind queue.
+    /// Entries evicted unwritten from the async write-behind queue
+    /// (bounded by
+    /// [`StoreOptions::queue_depth`](sailing::persist::StoreOptions::queue_depth)).
     pub disk_dropped: u64,
     /// Store write re-attempts after transient filesystem failures
-    /// ([`sailing::CacheStats::disk_retries`]).
+    /// ([`sailing::CacheStats::disk_retries`]; armed by
+    /// [`StoreOptions::retry`](sailing::persist::StoreOptions::retry)).
     pub disk_retries: u64,
     /// Writes fast-failed by the persist tier's open circuit breaker
-    /// ([`sailing::CacheStats::disk_breaker_fast_fails`]).
+    /// ([`sailing::CacheStats::disk_breaker_fast_fails`]; armed by
+    /// [`StoreOptions::breaker`](sailing::persist::StoreOptions::breaker)).
     pub disk_breaker_fast_fails: u64,
     /// The persist circuit breaker's state at snapshot time: `"closed"`,
     /// `"open"`, or `"half-open"` (always `"closed"` without a breaker).

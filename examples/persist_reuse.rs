@@ -38,7 +38,7 @@ use std::time::Duration;
 use sailing::datagen::temporal::{table3_style, TemporalWorld};
 use sailing::datagen::{SnapshotWorld, WorldConfig};
 use sailing::engine::SailingEngine;
-use sailing::persist::{BreakerState, FaultPlan, FaultyFs, StoreFs};
+use sailing::persist::{BreakerState, FaultPlan, FaultyFs, StoreFs, StoreOptions};
 
 /// The fault-injection phase: storm a dedicated store directory with a
 /// seeded fault plan, heal, and prove full recovery (breaker closed,
@@ -57,8 +57,11 @@ fn chaos_phase(dir: &str, seed: u64) -> Result<(), sailing::SailingError> {
     let engine = SailingEngine::builder()
         .persist_dir(dir)
         .cache_capacity(0)
-        .persist_retry(2, Duration::ZERO)
-        .persist_breaker(3, Duration::ZERO)
+        .persist_options(
+            StoreOptions::default()
+                .retry(2, Duration::ZERO)
+                .breaker(3, Duration::ZERO),
+        )
         .persist_fs(fs)
         .build()?;
 
@@ -137,12 +140,16 @@ fn main() -> Result<(), sailing::SailingError> {
 
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_async(use_async)
+        .persist_options(StoreOptions {
+            async_writer: use_async,
+            ..StoreOptions::default()
+        })
         .build()?;
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!("== Persistent analysis store: {dir} ==");
-    let mut session = engine.timeline_batched_owned(Arc::clone(&history), threads);
+    let mut session = engine.timeline(history);
+    session.prefetch_cold(threads);
     let epochs: Vec<_> = session.by_ref().collect();
     let served = epochs.iter().filter(|e| e.from_cache()).count();
     let spent = session.total_iterations();

@@ -30,6 +30,7 @@ use std::sync::Arc;
 
 use sailing::datagen::{SnapshotWorld, WorldConfig};
 use sailing::engine::SailingEngine;
+use sailing::persist::StoreOptions;
 
 /// Store shard count for the demo: small enough to eyeball on disk, large
 /// enough that the migration actually fans entries out.
@@ -65,7 +66,7 @@ fn main() -> Result<(), sailing::SailingError> {
     // the next probe must hit. Cache capacity 0 forces every probe to disk.
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_shards(STORE_SHARDS)
+        .persist_options(StoreOptions::default().shards(STORE_SHARDS))
         .cache_capacity(0)
         .build()?;
     for _ in 0..2 {

@@ -117,7 +117,7 @@ fn main() {
     // into every epoch's report.
     let engine = SailingEngine::with_defaults();
     println!("\n== Timeline session over Table 3 (one analysis per epoch) ==");
-    let mut session = engine.timeline(&history);
+    let mut session = engine.timeline(history.clone());
     println!(
         "  {} epochs at change points {:?}",
         session.num_epochs(),
@@ -171,8 +171,7 @@ fn main() {
     // --- Freshness-aware recommendation through the engine facade ---
     // Attaching the update history lets trust scoring see that S3 (the lazy
     // copier) publishes late, on top of its detected dependence on S1.
-    let snapshot = history.latest_snapshot();
-    let analysis = engine.analyze_with_history(&snapshot, &history);
+    let analysis = engine.analyze_with_history(history.latest_snapshot(), history);
     println!("\n== Freshness-aware trust (engine analysis of Table 3's snapshot) ==");
     for (i, score) in analysis.trust_scores().iter().enumerate() {
         println!(

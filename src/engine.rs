@@ -72,7 +72,8 @@
 //!   ([`sailing_persist`]), and a second *process* over the same
 //!   snapshots gets disk hits instead of cold discovery runs — damaged
 //!   or stale files degrade to cold misses, never errors. With
-//!   [`SailingEngineBuilder::persist_async`] the store writes on its own
+//!   [`StoreOptions::async_writer`] passed to
+//!   [`SailingEngineBuilder::persist_options`] the store writes on its own
 //!   background thread, so the analysis path performs **zero filesystem
 //!   syscalls** ([`SailingEngine::flush_persist`] becomes a drain
 //!   barrier, deferred failures surface via
@@ -80,12 +81,12 @@
 //!   is safe to share across engines, processes, and machines —
 //!   compaction takes the directory's advisory lock and can never sweep
 //!   a just-written valid entry.
-//! * On multi-core machines [`SailingEngine::timeline_batched`] (or
-//!   [`TimelineSession::prefetch_cold`]) runs the timeline's cold epoch
-//!   analyses **in parallel** first — store-resident epochs are skipped,
-//!   the rest fan out under [`std::thread::scope`] in LPT-balanced
-//!   chunks — and the walk then consumes the precomputed results,
-//!   preserving the converged-prior gating semantics exactly.
+//! * On multi-core machines [`TimelineSession::prefetch_cold`], called on
+//!   a fresh session, runs the timeline's cold epoch analyses **in
+//!   parallel** first — store-resident epochs are skipped, the rest fan
+//!   out under [`std::thread::scope`] in LPT-balanced chunks — and the
+//!   walk then consumes the precomputed results, preserving the
+//!   converged-prior gating semantics exactly.
 //!
 //! ```
 //! use sailing::engine::SailingEngine;
@@ -96,7 +97,7 @@
 //! let engine = SailingEngine::with_defaults();
 //!
 //! // One warm-started analysis per epoch, oldest first.
-//! let epochs: Vec<_> = engine.timeline(&history).collect();
+//! let epochs: Vec<_> = engine.timeline(history.clone()).collect();
 //! assert_eq!(epochs.len(), history.change_points().count());
 //! for epoch in &epochs {
 //!     // Reproducibly ordered decisions for this epoch's snapshot…
@@ -111,7 +112,7 @@
 //! // Walking the same timeline again is free: every epoch is served
 //! // from the engine's analysis cache — pointer-identical results, no
 //! // discovery re-run (`total_iterations` of the rerun stays 0).
-//! let rerun: Vec<_> = engine.timeline(&history).collect();
+//! let rerun: Vec<_> = engine.timeline(history).collect();
 //! assert!(rerun.iter().all(|e| e.from_cache()));
 //! assert!(engine.cache_stats().hits as usize >= rerun.len());
 //! assert_eq!(
@@ -202,13 +203,8 @@ pub struct SailingEngineBuilder {
     temporal_params: TemporalParams,
     cache_capacity: usize,
     persist_dir: Option<PathBuf>,
-    persist_async: bool,
-    persist_queue_depth: usize,
-    persist_retry: Option<(u32, Duration)>,
-    persist_breaker: Option<(u32, Duration)>,
-    persist_shutdown_deadline: Option<Duration>,
+    persist_options: StoreOptions,
     persist_fs: Option<Arc<dyn StoreFs>>,
-    persist_shards: Option<usize>,
     watchdog: Option<Watchdog>,
     equivalence: Option<Arc<dyn ValueEquivalence>>,
 }
@@ -224,13 +220,8 @@ impl SailingEngineBuilder {
             temporal_params: TemporalParams::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             persist_dir: None,
-            persist_async: false,
-            persist_queue_depth: sailing_persist::DEFAULT_QUEUE_DEPTH,
-            persist_retry: None,
-            persist_breaker: None,
-            persist_shutdown_deadline: None,
+            persist_options: StoreOptions::default(),
             persist_fs: None,
-            persist_shards: None,
             watchdog: None,
             equivalence: None,
         }
@@ -300,27 +291,32 @@ impl SailingEngineBuilder {
         self
     }
 
-    /// Moves the persistent store's writes to a **background writer
-    /// thread**: with this on, the analysis path performs **zero
-    /// filesystem syscalls** — `analyze`/`analyze_owned` enqueue the
-    /// freshly computed result onto a bounded in-memory queue and return,
-    /// and the store's writer thread drains it with the usual atomic
-    /// temp-file+rename discipline. [`SailingEngine::flush_persist`]
-    /// becomes a drain barrier; write failures that happen after the
-    /// analysis returned surface through
-    /// [`CacheStats::disk_write_errors`] and
-    /// [`SailingEngine::take_persist_write_errors`] instead of being
-    /// silently lost. No effect without
+    /// Configures the persistent store's write path — async writer and
+    /// queue bound, retry, circuit breaker, drop-drain deadline, and
+    /// hash-prefix sharding — as one [`StoreOptions`] value, passed as is
+    /// to [`PersistentStore::open_with`] (which clamps it; read the
+    /// effective value back from [`SailingEngine::persist_store`]).
+    /// Defaults to [`StoreOptions::default`]: synchronous writes, no
+    /// retry, no breaker, flat layout. No effect without
     /// [`SailingEngineBuilder::persist_dir`].
+    ///
+    /// With [`StoreOptions::async_writer`] the analysis path performs
+    /// **zero filesystem syscalls**: `analyze`/`analyze_owned` enqueue
+    /// the freshly computed result and return, and the store's writer
+    /// thread drains the queue. [`SailingEngine::flush_persist`] becomes
+    /// a drain barrier; write failures that happen after the analysis
+    /// returned surface through [`CacheStats::disk_write_errors`] and
+    /// [`SailingEngine::take_persist_write_errors`].
     ///
     /// ```
     /// use sailing::engine::SailingEngine;
     /// use sailing::model::fixtures;
+    /// use sailing::persist::StoreOptions;
     ///
-    /// let dir = std::env::temp_dir().join(format!("sailing-doc-pa-{}", std::process::id()));
+    /// let dir = std::env::temp_dir().join(format!("sailing-doc-po-{}", std::process::id()));
     /// let engine = SailingEngine::builder()
     ///     .persist_dir(&dir)
-    ///     .persist_async(true)
+    ///     .persist_options(StoreOptions::async_writer(64))
     ///     .build()?;
     /// let (store, _) = fixtures::table1();
     /// let analysis = engine.analyze(&store.snapshot()); // no fs write here
@@ -331,55 +327,8 @@ impl SailingEngineBuilder {
     /// # Ok::<(), sailing::error::SailingError>(())
     /// ```
     #[must_use]
-    pub fn persist_async(mut self, enabled: bool) -> Self {
-        self.persist_async = enabled;
-        self
-    }
-
-    /// Bounds the async write-behind queue (entries). When full, the
-    /// oldest unwritten entry is evicted — a future cold miss — rather
-    /// than blocking the analysis thread. Ignored unless
-    /// [`SailingEngineBuilder::persist_async`] is on; clamped to at
-    /// least 1. Defaults to [`sailing_persist::DEFAULT_QUEUE_DEPTH`].
-    #[must_use]
-    pub fn persist_queue_depth(mut self, depth: usize) -> Self {
-        self.persist_queue_depth = depth;
-        self
-    }
-
-    /// Lets the persistent store retry failed entry writes: up to
-    /// `max_attempts` tries per entry (clamped to at least 1) with bounded
-    /// exponential backoff starting at `base_delay`. A write that succeeds
-    /// on a retry is invisible to callers apart from
-    /// [`CacheStats::disk_retries`]. No effect without
-    /// [`SailingEngineBuilder::persist_dir`].
-    #[must_use]
-    pub fn persist_retry(mut self, max_attempts: u32, base_delay: Duration) -> Self {
-        self.persist_retry = Some((max_attempts, base_delay));
-        self
-    }
-
-    /// Arms the persistent store's **circuit breaker**: after `threshold`
-    /// consecutive exhausted-retry write failures the store stops touching
-    /// the filesystem and fast-fails new writes (counted in
-    /// [`CacheStats::disk_breaker_fast_fails`]) until `cooldown` has
-    /// elapsed, then lets a single probe write through to decide whether
-    /// to close again. `threshold = 0` (the default) disables the
-    /// breaker. Observable via [`CacheStats::disk_breaker`]. No effect
-    /// without [`SailingEngineBuilder::persist_dir`].
-    #[must_use]
-    pub fn persist_breaker(mut self, threshold: u32, cooldown: Duration) -> Self {
-        self.persist_breaker = Some((threshold, cooldown));
-        self
-    }
-
-    /// Bounds how long the last engine clone's drop waits for the async
-    /// writer to drain before detaching (default
-    /// [`sailing_persist::SHUTDOWN_DRAIN_DEADLINE`]). No effect without
-    /// [`SailingEngineBuilder::persist_async`].
-    #[must_use]
-    pub fn persist_shutdown_deadline(mut self, deadline: Duration) -> Self {
-        self.persist_shutdown_deadline = Some(deadline);
+    pub fn persist_options(mut self, options: StoreOptions) -> Self {
+        self.persist_options = options;
         self
     }
 
@@ -391,19 +340,6 @@ impl SailingEngineBuilder {
     #[must_use]
     pub fn persist_fs(mut self, fs: Arc<dyn StoreFs>) -> Self {
         self.persist_fs = Some(fs);
-        self
-    }
-
-    /// Spreads the persistent store's entries over `n` hash-prefix
-    /// subdirectories (see [`sailing_persist::StoreOptions::shards`]):
-    /// compaction locks per shard instead of the whole store, and large
-    /// stores avoid one enormous flat directory. Opening an existing
-    /// flat store with shards configured migrates it in place; `0` (the
-    /// default) keeps the flat layout. No effect without
-    /// [`SailingEngineBuilder::persist_dir`].
-    #[must_use]
-    pub fn persist_shards(mut self, n: usize) -> Self {
-        self.persist_shards = Some(n);
         self
     }
 
@@ -512,26 +448,9 @@ impl SailingEngineBuilder {
         self.temporal_params.validate()?;
         let persist = match self.persist_dir {
             Some(dir) => {
-                let mut options = StoreOptions {
-                    async_writer: self.persist_async,
-                    queue_depth: self.persist_queue_depth,
-                    ..StoreOptions::default()
-                };
-                if let Some((max_attempts, base_delay)) = self.persist_retry {
-                    options = options.retry(max_attempts, base_delay);
-                }
-                if let Some((threshold, cooldown)) = self.persist_breaker {
-                    options = options.breaker(threshold, cooldown);
-                }
-                if let Some(deadline) = self.persist_shutdown_deadline {
-                    options = options.shutdown_deadline(deadline);
-                }
-                if let Some(shards) = self.persist_shards {
-                    options = options.shards(shards);
-                }
                 let store = match self.persist_fs {
-                    Some(fs) => PersistentStore::open_with_fs(dir, options, fs)?,
-                    None => PersistentStore::open_with(dir, options)?,
+                    Some(fs) => PersistentStore::open_with_fs(dir, self.persist_options, fs)?,
+                    None => PersistentStore::open_with(dir, self.persist_options)?,
                 };
                 Some(Arc::new(store))
             }
@@ -652,8 +571,8 @@ impl SailingEngine {
     /// Flushes the persistent store's buffered writes to disk; returns the
     /// number of entries written (`0` when no store is attached — results
     /// are also flushed automatically and when the last engine clone
-    /// drops). With [`SailingEngineBuilder::persist_async`] on, this is a
-    /// **drain barrier**: it returns once every result computed before
+    /// drops). With an async writer configured
+    /// ([`StoreOptions::async_writer`]), this is a **drain barrier**: it returns once every result computed before
     /// the call has been written (or failed) by the store's background
     /// writer thread.
     ///
@@ -677,11 +596,12 @@ impl SailingEngine {
     ///
     /// ```
     /// use sailing::engine::SailingEngine;
+    /// use sailing::persist::StoreOptions;
     ///
     /// let dir = std::env::temp_dir().join(format!("sailing-doc-twe-{}", std::process::id()));
     /// let engine = SailingEngine::builder()
     ///     .persist_dir(&dir)
-    ///     .persist_async(true)
+    ///     .persist_options(StoreOptions::async_writer(64))
     ///     .build()?;
     /// // … analyses run, the writer thread persists them in the background …
     /// for err in engine.take_persist_write_errors() {
@@ -737,25 +657,20 @@ impl SailingEngine {
             .0
     }
 
-    /// Like [`SailingEngine::analyze`], additionally attaching update
-    /// traces so freshness-aware recommendation has temporal signal.
-    pub fn analyze_with_history(&self, snapshot: &SnapshotView, history: &History) -> Analysis {
+    /// Like [`SailingEngine::analyze_owned`], additionally attaching
+    /// update traces so freshness-aware recommendation has temporal
+    /// signal. Takes the snapshot and history by value or as [`Arc`]s.
+    pub fn analyze_with_history(
+        &self,
+        snapshot: impl Into<Arc<SnapshotView>>,
+        history: impl Into<Arc<History>>,
+    ) -> Analysis {
         self.analyze_inner(
-            SnapshotInput::Borrowed(snapshot),
-            Some(Arc::new(history.clone())),
+            SnapshotInput::Owned(snapshot.into()),
+            Some(history.into()),
             None,
         )
         .0
-    }
-
-    /// Owned variant of [`SailingEngine::analyze_with_history`].
-    pub fn analyze_owned_with_history(
-        &self,
-        snapshot: Arc<SnapshotView>,
-        history: Arc<History>,
-    ) -> Analysis {
-        self.analyze_inner(SnapshotInput::Owned(snapshot), Some(history), None)
-            .0
     }
 
     /// Pair-sharded distributed analysis: fans the dependence-detection
@@ -931,31 +846,15 @@ impl SailingEngine {
         Ok(partials)
     }
 
-    /// Opens a [`TimelineSession`] over a history: one warm-started epoch
-    /// analysis per [change point](History::change_points), oldest first,
-    /// each fused with the update-trace dependence evidence.
-    pub fn timeline(&self, history: &History) -> TimelineSession {
-        self.timeline_owned(Arc::new(history.clone()))
-    }
-
-    /// Owned variant of [`SailingEngine::timeline`].
-    pub fn timeline_owned(&self, history: Arc<History>) -> TimelineSession {
-        self.timeline_owned_since(history, Timestamp::MIN)
-    }
-
-    /// Like [`SailingEngine::timeline`], but starting at the first change
-    /// point at or after `since` — the resume entry for callers that
-    /// already consumed the earlier epochs (a restarted walk, an ingest
-    /// loop catching up on a history's recent tail). The temporal
-    /// dependence evidence still covers the whole history: lazy-copier
-    /// lags span the cutoff.
-    pub fn timeline_since(&self, history: &History, since: Timestamp) -> TimelineSession {
-        self.timeline_owned_since(Arc::new(history.clone()), since)
-    }
-
-    /// Owned variant of [`SailingEngine::timeline_since`].
-    pub fn timeline_owned_since(&self, history: Arc<History>, since: Timestamp) -> TimelineSession {
-        let change_points: Vec<Timestamp> = history.change_points_since(since).collect();
+    /// Opens a [`TimelineSession`] over a history (by value or as an
+    /// [`Arc`]): one warm-started epoch analysis per
+    /// [change point](History::change_points), oldest first, each fused
+    /// with the update-trace dependence evidence. Follow with
+    /// [`TimelineSession::prefetch_cold`] to batch the cold epochs across
+    /// threads before walking.
+    pub fn timeline(&self, history: impl Into<Arc<History>>) -> TimelineSession {
+        let history = history.into();
+        let change_points: Vec<Timestamp> = history.change_points().collect();
         let temporal = Arc::new(sailing_core::temporal::detect_all(
             &history,
             &self.temporal_params,
@@ -970,22 +869,6 @@ impl SailingEngine {
             total_iterations: 0,
             batched: BTreeMap::new(),
         }
-    }
-
-    /// Opens a timeline session and immediately
-    /// [batches its cold epochs across `threads`
-    /// threads](TimelineSession::prefetch_cold) — the parallel alternative
-    /// to the sequential warm-start chain for multi-core boxes and
-    /// store-warmed re-runs.
-    pub fn timeline_batched(&self, history: &History, threads: usize) -> TimelineSession {
-        self.timeline_batched_owned(Arc::new(history.clone()), threads)
-    }
-
-    /// Owned variant of [`SailingEngine::timeline_batched`].
-    pub fn timeline_batched_owned(&self, history: Arc<History>, threads: usize) -> TimelineSession {
-        let mut session = self.timeline_owned(history);
-        session.prefetch_cold(threads);
-        session
     }
 
     /// Opens a streaming [`IngestSession`] over a fresh in-memory claim
@@ -1452,15 +1335,15 @@ pub struct CacheStats {
     /// [`SailingEngine::take_persist_write_errors`].
     pub disk_write_errors: u64,
     /// Entries evicted unwritten because the async write-behind queue
-    /// was full (see [`SailingEngineBuilder::persist_queue_depth`]).
+    /// was full (see [`StoreOptions::queue_depth`]).
     pub disk_dropped: u64,
     /// Store write re-attempts after a transient filesystem failure (see
-    /// [`SailingEngineBuilder::persist_retry`]); a successful retry keeps
+    /// [`StoreOptions::retry`]); a successful retry keeps
     /// [`CacheStats::disk_write_errors`] at zero.
     pub disk_retries: u64,
     /// Writes rejected without touching the filesystem because the
     /// store's circuit breaker was open (see
-    /// [`SailingEngineBuilder::persist_breaker`]).
+    /// [`StoreOptions::breaker`]).
     pub disk_breaker_fast_fails: u64,
     /// The store's circuit-breaker state at sampling time
     /// ([`BreakerState::Closed`] when no store or no breaker is
@@ -2915,7 +2798,7 @@ mod tests {
         // not change what a plain analyze() of the same snapshot returns.
         let (_, history, _) = fixtures::table3();
         let engine = SailingEngine::with_defaults();
-        let epochs: Vec<_> = engine.timeline(&history).collect();
+        let epochs: Vec<_> = engine.timeline(history).collect();
         let warm = epochs
             .iter()
             .find(|e| e.warm_started())
@@ -2988,7 +2871,7 @@ mod tests {
     fn timeline_walks_table3_epoch_by_epoch() {
         let (store, history, _) = fixtures::table3();
         let engine = SailingEngine::with_defaults();
-        let session = engine.timeline(&history);
+        let session = engine.timeline(history.clone());
         let expected: Vec<_> = history.change_points().collect();
         assert_eq!(session.change_points(), &expected[..]);
         assert_eq!(session.num_epochs(), expected.len());
@@ -3065,12 +2948,13 @@ mod tests {
     #[test]
     fn timeline_on_empty_history_yields_nothing() {
         let engine = SailingEngine::with_defaults();
-        let mut session = engine.timeline(&History::new(3, 2));
+        let mut session = engine.timeline(History::new(3, 2));
         assert_eq!(session.num_epochs(), 0);
         assert!(session.next_epoch().is_none());
         assert_eq!(session.total_iterations(), 0);
         // Batched construction over nothing is equally a no-op.
-        let mut batched = engine.timeline_batched(&History::new(3, 2), 4);
+        let mut batched = engine.timeline(History::new(3, 2));
+        batched.prefetch_cold(4);
         assert!(batched.next_epoch().is_none());
     }
 
@@ -3130,11 +3014,42 @@ mod tests {
     }
 
     #[test]
+    fn persist_options_reach_the_store_as_clamped() {
+        let dir = persist_temp_dir("options");
+        let options = StoreOptions::async_writer(0)
+            .retry(2, Duration::from_millis(3))
+            .breaker(4, Duration::from_millis(50))
+            .shutdown_deadline(Duration::from_millis(700))
+            .shards(4);
+        let engine = SailingEngine::builder()
+            .persist_dir(&dir)
+            .persist_options(options)
+            .build()
+            .unwrap();
+        // Every field arrives; the store clamps the zero queue bound to 1.
+        assert_eq!(
+            engine.persist_store().unwrap().options(),
+            StoreOptions {
+                async_writer: true,
+                queue_depth: 1,
+                retry_max_attempts: 2,
+                retry_base_delay: Duration::from_millis(3),
+                breaker_threshold: 4,
+                breaker_cooldown: Duration::from_millis(50),
+                shutdown_deadline: Duration::from_millis(700),
+                shards: 4,
+            }
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn persist_keys_keep_warm_and_cold_results_apart_on_disk() {
         let dir = persist_temp_dir("provenance");
         let (_, history, _) = fixtures::table3();
         let engine = SailingEngine::builder().persist_dir(&dir).build().unwrap();
-        let epochs: Vec<_> = engine.timeline(&history).collect();
+        let epochs: Vec<_> = engine.timeline(history).collect();
         let warm = epochs
             .iter()
             .find(|e| e.warm_started())
@@ -3168,8 +3083,9 @@ mod tests {
             .build()
             .unwrap();
 
-        let sequential: Vec<_> = seq_engine.timeline(&history).collect();
-        let mut batched_session = par_engine.timeline_batched(&history, 4);
+        let sequential: Vec<_> = seq_engine.timeline(history.clone()).collect();
+        let mut batched_session = par_engine.timeline(history);
+        batched_session.prefetch_cold(4);
         let batched: Vec<_> = batched_session.by_ref().collect();
 
         assert_eq!(sequential.len(), batched.len());
@@ -3196,7 +3112,7 @@ mod tests {
         history.record(SourceId(0), ObjectId(0), 2, ValueId(2));
         history.record(SourceId(0), ObjectId(0), 3, ValueId(1)); // revert
         let engine = SailingEngine::with_defaults();
-        let mut session = engine.timeline_owned(Arc::new(history));
+        let mut session = engine.timeline(Arc::new(history));
         assert_eq!(session.num_epochs(), 3);
         assert_eq!(session.prefetch_cold(2), 2, "two distinct contents");
         let epochs: Vec<_> = session.by_ref().collect();
@@ -3227,11 +3143,13 @@ mod tests {
             .build()
             .unwrap();
         // A batched walk populates the cache with cold-keyed results…
-        let first: Vec<_> = engine.timeline_batched(&history, 2).collect();
+        let mut first_walk = engine.timeline(history.clone());
+        first_walk.prefetch_cold(2);
+        let first: Vec<_> = first_walk.collect();
         assert!(first.iter().all(|e| !e.from_cache()));
         // …so a second batched walk prefetches zero and serves everything
         // as cache hits with no spend.
-        let mut rerun = engine.timeline_owned(Arc::new(history.clone()));
+        let mut rerun = engine.timeline(Arc::new(history));
         assert_eq!(rerun.prefetch_cold(2), 0);
         let second: Vec<_> = rerun.by_ref().collect();
         assert_eq!(first.len(), second.len());

@@ -208,13 +208,12 @@
 //! misbehaves; each layer has a typed, observable fallback:
 //!
 //! * **Persistence** — transient filesystem failures are retried with
-//!   bounded exponential backoff
-//!   ([`persist_retry`](SailingEngineBuilder::persist_retry), visible as
-//!   [`CacheStats::disk_retries`]); persistent failure trips a circuit
-//!   breaker ([`persist_breaker`](SailingEngineBuilder::persist_breaker))
-//!   that fast-fails writes without touching the disk until a cooldown
-//!   passes and a half-open probe succeeds
-//!   ([`CacheStats::disk_breaker`]). A failed or refused write is never
+//!   bounded exponential backoff ([`persist::StoreOptions::retry`] via
+//!   [`persist_options`](SailingEngineBuilder::persist_options), visible
+//!   as [`CacheStats::disk_retries`]); persistent failure trips a circuit
+//!   breaker ([`persist::StoreOptions::breaker`]) that fast-fails writes
+//!   without touching the disk until a cooldown passes and a half-open
+//!   probe succeeds ([`CacheStats::disk_breaker`]). A failed or refused write is never
 //!   an analysis error — just a future cold miss. Damaged or torn store
 //!   files are rejected by checksum on read and degrade to cold misses.
 //!   Fault paths are testable deterministically by routing the store

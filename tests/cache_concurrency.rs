@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use sailing::engine::SailingEngine;
 use sailing::model::{ObjectId, SnapshotView, SourceId, ValueId};
+use sailing::persist::StoreOptions;
 
 /// Distinct small snapshots, one per value seed.
 fn snapshots(n: u32) -> Vec<Arc<SnapshotView>> {
@@ -152,8 +153,7 @@ fn async_two_tier_counters_and_writer_thread_isolation() {
     let engine = SailingEngine::builder()
         .cache_capacity(16)
         .persist_dir(&dir)
-        .persist_async(true)
-        .persist_queue_depth(64)
+        .persist_options(StoreOptions::async_writer(64))
         .build()
         .unwrap();
     hammer(&engine, &snaps, threads, rounds);

@@ -18,7 +18,9 @@ use sailing::core::{AccuCopy, PipelineResult, Termination, TruthDiscovery, Watch
 use sailing::datagen::{SnapshotWorld, WorldConfig};
 use sailing::engine::SailingEngine;
 use sailing::model::SnapshotView;
-use sailing::persist::{BreakerState, FaultPlan, FaultyFs, StoreFs, WriteFault};
+use sailing::persist::{
+    BreakerState, FaultPlan, FaultyFs, StoreFs, StoreOptions, WriteFault, DEFAULT_QUEUE_DEPTH,
+};
 use sailing_serve::{Health, ServeHandle};
 
 fn chaos_dir(tag: &str) -> PathBuf {
@@ -43,8 +45,7 @@ fn transient_write_failure_is_absorbed_by_retry() {
 
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_async(true)
-        .persist_retry(3, Duration::ZERO)
+        .persist_options(StoreOptions::async_writer(DEFAULT_QUEUE_DEPTH).retry(3, Duration::ZERO))
         .persist_fs(fs)
         .build()
         .unwrap();
@@ -88,8 +89,11 @@ fn breaker_cycles_open_half_open_closed_under_persistent_failure() {
 
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_retry(2, Duration::ZERO)
-        .persist_breaker(2, Duration::ZERO)
+        .persist_options(
+            StoreOptions::default()
+                .retry(2, Duration::ZERO)
+                .breaker(2, Duration::ZERO),
+        )
         .persist_fs(fs)
         .build()
         .unwrap();
@@ -335,8 +339,11 @@ fn seeded_plan_end_to_end() {
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
         .cache_capacity(0)
-        .persist_retry(2, Duration::ZERO)
-        .persist_breaker(3, Duration::ZERO)
+        .persist_options(
+            StoreOptions::default()
+                .retry(2, Duration::ZERO)
+                .breaker(3, Duration::ZERO),
+        )
         .persist_fs(fs)
         .build()
         .unwrap();

@@ -230,7 +230,7 @@ fn table3_freshness_through_the_engine() {
     let (store, history, _) = fixtures::table3();
     let snapshot = history.latest_snapshot();
     let engine = SailingEngine::with_defaults();
-    let analysis = engine.analyze_with_history(&snapshot, &history);
+    let analysis = engine.analyze_with_history(snapshot.clone(), history.clone());
     let scores = analysis.trust_scores();
 
     let direct = AccuCopy::with_defaults().run(&snapshot);

@@ -128,7 +128,9 @@ fn second_engine_timeline_is_served_from_the_store() {
         .unwrap();
     // Batched walk so the store receives *cold-keyed* entries for every
     // epoch (the warm chain's entries are provenance-specific).
-    let first: Vec<_> = writer.timeline_batched(&history, 2).collect();
+    let mut first_walk = writer.timeline(history.clone());
+    first_walk.prefetch_cold(2);
+    let first: Vec<_> = first_walk.collect();
     writer.flush_persist().unwrap();
     drop(writer);
 
@@ -137,7 +139,8 @@ fn second_engine_timeline_is_served_from_the_store() {
         .persist_dir(&dir)
         .build()
         .unwrap();
-    let mut session = reader.timeline_batched(&history, 2);
+    let mut session = reader.timeline(history);
+    session.prefetch_cold(2);
     let second: Vec<_> = session.by_ref().collect();
     assert_eq!(first.len(), second.len());
     assert!(second.iter().all(|e| e.from_cache()));
@@ -273,8 +276,8 @@ fn compact_removes_damage_and_reports_counts() {
 
 // --- async write-behind ----------------------------------------------------
 
-/// The tentpole acceptance proof at the engine level: with
-/// `persist_async` on, the analysis path performs zero filesystem writes
+/// The engine-level proof of the async write path: with an async
+/// writer configured, the analysis path performs zero filesystem writes
 /// on the calling thread — every entry write happens on the store's
 /// background writer thread — and `flush_persist` drains
 /// deterministically into a store a second engine can serve from.
@@ -283,8 +286,7 @@ fn async_persist_keeps_the_analysis_thread_syscall_free() {
     let dir = temp_dir("async-engine");
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_async(true)
-        .persist_queue_depth(64)
+        .persist_options(StoreOptions::async_writer(64))
         .build()
         .unwrap();
 
@@ -385,6 +387,12 @@ fn two_handles_hammering_put_get_compact_lose_nothing_valid() {
     let writer_a = PersistentStore::open_with(&dir, StoreOptions::async_writer(32)).unwrap();
     let writer_b = PersistentStore::open(&dir).unwrap();
     let rounds = 30usize;
+    // A hands off to the reader after each drain barrier (a rendezvous,
+    // so A cannot run ahead): every pass of the reader over the keys
+    // starts right after one of A's flushes has returned, so it cannot
+    // finish every get before any entry has landed, nor read only while
+    // the vandal's damage is unrepaired.
+    let (flushed_tx, flushed_rx) = std::sync::mpsc::sync_channel::<()>(0);
 
     let (gets_a, hits_matched) = std::thread::scope(|scope| {
         // Handle A: async puts + drain barriers.
@@ -401,6 +409,8 @@ fn two_handles_hammering_put_get_compact_lose_nothing_valid() {
                     a.put(keys[i], Arc::clone(&snaps[i]), Arc::clone(&results[i]));
                 }
                 let _ = a.flush();
+                // Fails only once the reader is done; A then writes on.
+                let _ = flushed_tx.send(());
             }
         });
         // Handle B: sync puts out of phase with A.
@@ -439,6 +449,11 @@ fn two_handles_hammering_put_get_compact_lose_nothing_valid() {
             let mut matched = 0u64;
             for r in 0..rounds * 4 {
                 let i = r % keys.len();
+                if i == 0 {
+                    // A disconnected channel means writer A is finished
+                    // (or died, which fails the scope anyway).
+                    let _ = flushed_rx.recv();
+                }
                 gets += 1;
                 if let Some((snap, result)) = a.get(keys[i], &snaps[i]) {
                     assert_eq!(*snap, *snaps[i], "hit served the wrong snapshot");

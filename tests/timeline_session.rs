@@ -108,7 +108,7 @@ fn timeline_warm_start_beats_cold_reanalysis_without_changing_answers() {
         .build()
         .unwrap();
 
-    let mut session = warm_engine.timeline_owned(Arc::clone(&history));
+    let mut session = warm_engine.timeline(Arc::clone(&history));
     let num_epochs = session.num_epochs();
     assert!(num_epochs > 10, "world too static: {num_epochs} epochs");
 
@@ -157,7 +157,7 @@ fn timeline_parity_on_table3_fixture() {
 
     let mut warm_total = 0;
     let mut cold_total = 0;
-    for epoch in warm_engine.timeline(&history) {
+    for epoch in warm_engine.timeline(history.clone()) {
         let cold = cold_engine.analyze(&history.snapshot_at(epoch.timestamp()));
         assert_posterior_parity(epoch.analysis().result(), cold.result(), epoch.timestamp());
         warm_total += epoch.iterations();
@@ -206,13 +206,13 @@ fn timeline_rerun_is_served_from_the_cache() {
         .build()
         .unwrap();
 
-    let mut first_walk = engine.timeline(&history);
+    let mut first_walk = engine.timeline(history.clone());
     let first: Vec<_> = first_walk.by_ref().collect();
     assert!(first_walk.total_iterations() > 0);
     assert!(first.iter().all(|e| !e.from_cache()));
     let misses_after_first = engine.cache_stats().misses;
 
-    let mut second_walk = engine.timeline(&history);
+    let mut second_walk = engine.timeline(history.clone());
     let second: Vec<_> = second_walk.by_ref().collect();
     assert_eq!(first.len(), second.len());
     for (a, b) in first.iter().zip(&second) {
@@ -251,10 +251,10 @@ fn batched_cold_timeline_matches_sequential_posteriors_and_accounting() {
         .build()
         .unwrap();
 
-    let mut seq_session = seq_engine.timeline_owned(Arc::clone(&history));
+    let mut seq_session = seq_engine.timeline(Arc::clone(&history));
     let sequential: Vec<_> = seq_session.by_ref().collect();
 
-    let mut par_session = par_engine.timeline_owned(Arc::clone(&history));
+    let mut par_session = par_engine.timeline(Arc::clone(&history));
     let computed = par_session.prefetch_cold(4);
     assert_eq!(
         computed,
@@ -328,7 +328,7 @@ fn prefetch_drops_a_panicked_chunk_to_the_sequential_path() {
         .cache_capacity(0)
         .build()
         .unwrap();
-    let sequential: Vec<_> = plain.timeline_owned(Arc::clone(&history)).collect();
+    let sequential: Vec<_> = plain.timeline(Arc::clone(&history)).collect();
 
     let engine = SailingEngine::builder()
         .strategy(PanicsOnce {
@@ -338,7 +338,7 @@ fn prefetch_drops_a_panicked_chunk_to_the_sequential_path() {
         .cache_capacity(0)
         .build()
         .unwrap();
-    let mut session = engine.timeline_owned(Arc::clone(&history));
+    let mut session = engine.timeline(Arc::clone(&history));
     let computed = session.prefetch_cold(4);
     assert!(
         computed < sequential.len(),
@@ -371,12 +371,12 @@ fn batched_timeline_rerun_accounting_matches_sequential_rerun() {
         .build()
         .unwrap();
 
-    let first: Vec<_> = engine
-        .timeline_batched_owned(Arc::clone(&history), 4)
-        .collect();
+    let mut first_walk = engine.timeline(Arc::clone(&history));
+    first_walk.prefetch_cold(4);
+    let first: Vec<_> = first_walk.collect();
     assert!(first.iter().all(|e| !e.from_cache()));
 
-    let mut rerun = engine.timeline_owned(Arc::clone(&history));
+    let mut rerun = engine.timeline(Arc::clone(&history));
     assert_eq!(rerun.prefetch_cold(4), 0, "everything is cache-resident");
     let second: Vec<_> = rerun.by_ref().collect();
     assert_eq!(first.len(), second.len());
@@ -405,7 +405,7 @@ fn change_points_and_timeline_agree_on_epoch_snapshots() {
         .build()
         .unwrap();
     let hashes: Vec<u64> = engine
-        .timeline(history)
+        .timeline(history.clone())
         .map(|e| e.analysis().snapshot().content_hash())
         .collect();
     let direct: Vec<u64> = points
@@ -427,7 +427,7 @@ fn epoch_analyses_outlive_engine_and_session() {
     let kept = {
         let (_, history, _) = fixtures::table3();
         let engine = SailingEngine::with_defaults();
-        let epochs: Vec<_> = engine.timeline(&history).collect();
+        let epochs: Vec<_> = engine.timeline(history).collect();
         epochs.into_iter().last().unwrap().into_analysis()
     };
     // Engine, session, and the original history are gone; the analysis
