@@ -38,10 +38,23 @@ fn world(copy_fraction: f64, seed: u64) -> SnapshotWorld {
     })
 }
 
+/// The direction column (`ok/resolved/all` over the copier–original pairs
+/// flagged across the three seeds) per copied fraction, as the
+/// overlap-property hint and the likelihood posterior resolve it today. A
+/// change to either direction signal shows up here first.
+const EXPECTED_DIRECTIONS: [(f64, &str); 5] = [
+    (0.1, "-"),
+    (0.25, "2/5/6"),
+    (0.5, "4/4/6"),
+    (0.75, "6/6/6"),
+    (1.0, "0/0/6"),
+];
+
 fn main() {
     banner("E10", "Partial-copy detection vs copied fraction");
     header(&["copied frac", "precision", "recall", "F1", "dir ok/res/all"]);
-    for &fraction in &[0.1f64, 0.25, 0.5, 0.75, 1.0] {
+    let mut directions = Vec::new();
+    for &(fraction, _) in &EXPECTED_DIRECTIONS {
         let mut precision = 0.0;
         let mut recall = 0.0;
         let mut dir_ok = 0usize;
@@ -75,6 +88,11 @@ fn main() {
                 }
             }
         }
+        let direction = if dir_total == 0 {
+            "-".to_string()
+        } else {
+            format!("{dir_ok}/{dir_resolved}/{dir_total}")
+        };
         println!(
             "{}",
             row(&[
@@ -82,12 +100,15 @@ fn main() {
                 format!("{:.2}", precision / SEEDS as f64),
                 format!("{:.2}", recall / SEEDS as f64),
                 format!("{:.2}", f1(precision / SEEDS as f64, recall / SEEDS as f64)),
-                if dir_total == 0 {
-                    "-".into()
-                } else {
-                    format!("{dir_ok}/{dir_resolved}/{dir_total}")
-                },
+                direction.clone(),
             ])
+        );
+        directions.push((fraction, direction));
+    }
+    for ((fraction, got), (_, expected)) in directions.iter().zip(EXPECTED_DIRECTIONS) {
+        assert_eq!(
+            got, expected,
+            "E10 direction column changed at copied fraction {fraction}"
         );
     }
 

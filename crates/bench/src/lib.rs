@@ -13,22 +13,24 @@ pub fn banner(id: &str, title: &str) {
     println!("================================================================");
 }
 
-/// Formats a row of fixed-width cells.
+/// Width every cell is padded to.
+const CELL_WIDTH: usize = 14;
+
+/// Formats a row of fixed-width cells, one space apart, so a cell that
+/// fills its width still stands clear of the next.
 pub fn row(cells: &[String]) -> String {
     cells
         .iter()
-        .map(|c| format!("{c:<14}"))
+        .map(|c| format!("{c:<CELL_WIDTH$}"))
         .collect::<Vec<_>>()
-        .join("")
+        .join(" ")
 }
 
-/// Prints a header + separator.
+/// Prints a header + separator as wide as the header row.
 pub fn header(cells: &[&str]) {
-    println!(
-        "{}",
-        row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-    );
-    println!("{}", "-".repeat(cells.len() * 14));
+    let header = row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    println!("{header}");
+    println!("{}", "-".repeat(header.chars().count()));
 }
 
 /// Unordered precision/recall of detected pairs against planted pairs.
@@ -73,6 +75,14 @@ mod tests {
         let (p, r) = pair_quality(&detected, &planted);
         assert!((p - 0.5).abs() < 1e-12);
         assert!((r - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn full_width_cells_stay_apart() {
+        let line = row(&["copier vs orig".to_string(), "0.54".to_string()]);
+        assert_eq!(line, "copier vs orig 0.54          ");
+        let widths = row(&["a".to_string(), "b".to_string(), "c".to_string()]);
+        assert_eq!(widths.len(), 3 * CELL_WIDTH + 2);
     }
 
     #[test]

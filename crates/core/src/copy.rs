@@ -12,15 +12,19 @@
 //! unlikely — while under copying it merely requires the original to be
 //! wrong. The posterior over {independent, A copies B, B copies A} follows
 //! by Bayes' rule.
+//!
+//! The same per-pair merge gathers the overlap-property direction hint
+//! ([`crate::partial`], intuition 2), so one walk gives the whole row.
 
 use sailing_model::{SnapshotView, SourceId};
 
 use crate::params::DetectionParams;
+use crate::partial::{blend_contrasts, OverlapContrast};
 use crate::report::{DependenceKind, Direction, PairDependence};
 use crate::truth::{effective_n_false, ValueProbabilities};
 
 /// Per-hypothesis log-likelihoods of one pair's joint observations.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PairLikelihoods {
     /// Log-likelihood under independence.
     pub log_independent: f64,
@@ -55,65 +59,6 @@ fn copying_probs(a_orig: f64, a_copier: f64, c: f64, mu: f64, n: f64) -> (f64, f
     (pt, pf, pd)
 }
 
-/// The nine per-object hypothesis probabilities of one pair, which depend
-/// only on the pair's accuracies, the copy parameters, and `n`.
-#[derive(Debug, Clone, Copy)]
-struct HypothesisProbs {
-    /// Independent: shared-true, shared-false, differ.
-    ind: (f64, f64, f64),
-    /// "`a` copies `b`": the original is `b`.
-    a_on_b: (f64, f64, f64),
-    /// "`b` copies `a`": the original is `a`.
-    b_on_a: (f64, f64, f64),
-}
-
-/// Per-pair cache of [`HypothesisProbs`] keyed by `n`.
-///
-/// Across one pair's overlap the accuracies and copy parameters are fixed,
-/// so the triples vary only with the per-object effective `n`. The
-/// pre-columnar code recomputed all nine probabilities for every shared
-/// object; here each distinct `n` is computed once. `n` is always an
-/// integral count (the effective-false-value count, bounded by the
-/// per-object value diversity), so the cache is a direct-indexed table —
-/// O(1) hits regardless of how many distinct `n` values an overlap spans.
-struct PairHypotheses {
-    aa: f64,
-    ab: f64,
-    c: f64,
-    mu: f64,
-    by_n: Vec<Option<HypothesisProbs>>,
-}
-
-impl PairHypotheses {
-    fn new(aa: f64, ab: f64, c: f64, mu: f64) -> Self {
-        Self {
-            aa,
-            ab,
-            c,
-            mu,
-            by_n: Vec::new(),
-        }
-    }
-
-    #[inline]
-    fn probs_for(&mut self, n: f64) -> HypothesisProbs {
-        let idx = n as usize;
-        if idx >= self.by_n.len() {
-            self.by_n.resize(idx + 1, None);
-        }
-        if let Some(h) = self.by_n[idx] {
-            return h;
-        }
-        let h = HypothesisProbs {
-            ind: independent_probs(self.aa, self.ab, n),
-            a_on_b: copying_probs(self.ab, self.aa, self.c, self.mu, n),
-            b_on_a: copying_probs(self.aa, self.ab, self.c, self.mu, n),
-        };
-        self.by_n[idx] = Some(h);
-        h
-    }
-}
-
 /// Computes the three hypothesis log-likelihoods for a pair from the current
 /// value probabilities.
 ///
@@ -134,70 +79,9 @@ pub fn pair_likelihoods(
     accuracies: &[f64],
     params: &DetectionParams,
 ) -> PairLikelihoods {
-    pair_likelihoods_impl(snapshot, a, b, probs, accuracies, params, |object| {
-        effective_n_false(snapshot, object, params) as f64
-    })
-}
-
-/// [`pair_likelihoods`] with the effective-`n` column hoisted out: `n_false`
-/// is [`crate::truth::effective_n_false_table`]'s output, computed once per iteration (it
-/// is snapshot-invariant) instead of once per shared object per pair.
-pub fn pair_likelihoods_with(
-    snapshot: &SnapshotView,
-    a: SourceId,
-    b: SourceId,
-    probs: &ValueProbabilities,
-    accuracies: &[f64],
-    n_false: &[f64],
-    params: &DetectionParams,
-) -> PairLikelihoods {
-    pair_likelihoods_impl(snapshot, a, b, probs, accuracies, params, |object| {
-        n_false.get(object.index()).copied().unwrap_or(1.0)
-    })
-}
-
-fn pair_likelihoods_impl(
-    snapshot: &SnapshotView,
-    a: SourceId,
-    b: SourceId,
-    probs: &ValueProbabilities,
-    accuracies: &[f64],
-    params: &DetectionParams,
-    n_of: impl Fn(sailing_model::ObjectId) -> f64,
-) -> PairLikelihoods {
-    let aa = params.clamp_accuracy(accuracies.get(a.index()).copied().unwrap_or(0.5));
-    let ab = params.clamp_accuracy(accuracies.get(b.index()).copied().unwrap_or(0.5));
-    let mut hyp = PairHypotheses::new(aa, ab, params.copy_rate, params.copy_mutation_rate);
-
-    let mut out = PairLikelihoods {
-        log_independent: 0.0,
-        log_a_copies_b: 0.0,
-        log_b_copies_a: 0.0,
-        overlap: 0,
-        shared_false_mass: 0.0,
-    };
-
-    for (object, va, vb) in snapshot.overlap(a, b) {
-        out.overlap += 1;
-        let h = hyp.probs_for(n_of(object));
-        let (it, if_, id) = h.ind;
-        let (abt, abf, abd) = h.a_on_b;
-        let (bat, baf, bad) = h.b_on_a;
-
-        if va == vb {
-            let p_true = probs.prob(object, va);
-            let p_false = 1.0 - p_true;
-            out.shared_false_mass += p_false;
-            out.log_independent += (p_true * it + p_false * if_).max(1e-300).ln();
-            out.log_a_copies_b += (p_true * abt + p_false * abf).max(1e-300).ln();
-            out.log_b_copies_a += (p_true * bat + p_false * baf).max(1e-300).ln();
-        } else {
-            out.log_independent += id.ln();
-            out.log_a_copies_b += abd.ln();
-            out.log_b_copies_a += bad.ln();
-        }
-    }
-    out
+    DetectionPass::new(snapshot, probs, accuracies, params, Some([a, b]))
+        .evidence(a, b)
+        .0
 }
 
 /// Turns the three log-likelihoods into a posterior [`PairDependence`].
@@ -219,11 +103,9 @@ pub fn posterior(
         log_priors[2] + lik.log_b_copies_a,
     ];
     let m = logs.iter().fold(f64::NEG_INFINITY, |x, &y| x.max(y));
-    let exps: Vec<f64> = logs.iter().map(|&l| (l - m).exp()).collect();
+    let exps = logs.map(|l| (l - m).exp());
     let z: f64 = exps.iter().sum();
-    let p_ind = exps[0] / z;
-    let p_ab = exps[1] / z;
-    let p_ba = exps[2] / z;
+    let [p_ind, p_ab, p_ba] = exps.map(|e| e / z);
 
     let probability = 1.0 - p_ind;
     let prob_a_on_b = if p_ab + p_ba > 0.0 {
@@ -231,28 +113,33 @@ pub fn posterior(
     } else {
         0.5
     };
-    let direction = if probability < 0.5 || (prob_a_on_b - 0.5).abs() < 0.1 {
-        Direction::Unknown
-    } else if prob_a_on_b > 0.5 {
-        Direction::AOnB
-    } else {
-        Direction::BOnA
-    };
     PairDependence {
         a,
         b,
         probability,
         prob_a_on_b,
         kind: DependenceKind::Similarity,
-        direction,
+        direction: direction_of(probability, prob_a_on_b),
         overlap: lik.overlap,
         diagnostic: lik.log_a_copies_b.max(lik.log_b_copies_a) - lik.log_independent,
     }
     .canonical()
 }
 
-/// Detects copying for one pair; `None` when the overlap is below
-/// [`DetectionParams::min_overlap`].
+/// The direction a dependence with these probabilities resolves to.
+fn direction_of(probability: f64, prob_a_on_b: f64) -> Direction {
+    if probability < 0.5 || (prob_a_on_b - 0.5).abs() < 0.1 {
+        Direction::Unknown
+    } else if prob_a_on_b > 0.5 {
+        Direction::AOnB
+    } else {
+        Direction::BOnA
+    }
+}
+
+/// Detects copying for one pair, with the direction hint blended in — the
+/// row [`crate::pairs::detect_all_with_pairs`] gives it; `None` when the
+/// overlap is below [`DetectionParams::min_overlap`].
 pub fn detect_pair(
     snapshot: &SnapshotView,
     a: SourceId,
@@ -261,23 +148,151 @@ pub fn detect_pair(
     accuracies: &[f64],
     params: &DetectionParams,
 ) -> Option<PairDependence> {
-    let lik = pair_likelihoods(snapshot, a, b, probs, accuracies, params);
-    (lik.overlap >= params.min_overlap).then(|| posterior(a, b, &lik, params))
+    DetectionPass::new(snapshot, probs, accuracies, params, Some([a, b])).detect(a, b)
 }
 
-/// [`detect_pair`] with the effective-`n` column hoisted out — the form the
-/// batched [`crate::pairs::detect_all_with_pairs`] fan-out uses.
-pub fn detect_pair_with(
-    snapshot: &SnapshotView,
-    a: SourceId,
-    b: SourceId,
-    probs: &ValueProbabilities,
-    accuracies: &[f64],
-    n_false: &[f64],
-    params: &DetectionParams,
-) -> Option<PairDependence> {
-    let lik = pair_likelihoods_with(snapshot, a, b, probs, accuracies, n_false, params);
-    (lik.overlap >= params.min_overlap).then(|| posterior(a, b, &lik, params))
+/// One source's `(probability sum, item count)` over the items it shares
+/// with the other source of a pair, then over its private items.
+type SideSums = ((f64, usize), (f64, usize));
+
+/// One detection pass's inputs, with the value probabilities read once
+/// into a column that [`crate::pairs::detect_all_with_pairs`] builds per
+/// pass and all its workers share.
+pub(crate) struct DetectionPass<'a> {
+    snapshot: &'a SnapshotView,
+    accuracies: &'a [f64],
+    params: &'a DetectionParams,
+    /// `probs.prob` per assertion, laid out like the snapshot's CSR slices.
+    probs: Vec<f64>,
+    starts: Vec<usize>,
+}
+
+impl<'a> DetectionPass<'a> {
+    /// The column covers every source, or only the two of `pair`.
+    pub(crate) fn new(
+        snapshot: &'a SnapshotView,
+        probs: &ValueProbabilities,
+        accuracies: &'a [f64],
+        params: &'a DetectionParams,
+        pair: Option<[SourceId; 2]>,
+    ) -> Self {
+        let mut column = Vec::with_capacity(snapshot.num_assertions());
+        let mut starts = Vec::with_capacity(snapshot.num_sources() + 1);
+        for source in (0..snapshot.num_sources()).map(SourceId::from_index) {
+            starts.push(column.len());
+            if pair.is_none_or(|pair| pair.contains(&source)) {
+                column.extend(
+                    snapshot
+                        .assertions_of(source)
+                        .map(|(o, v)| probs.prob(o, v)),
+                );
+            }
+        }
+        starts.push(column.len());
+        Self {
+            snapshot,
+            accuracies,
+            params,
+            probs: column,
+            starts,
+        }
+    }
+
+    /// The fused per-pair kernel: one merge over both sources' full sorted
+    /// assertion slices, reading every probability from the column. Shared
+    /// objects feed the three log-likelihoods. Every assertion also feeds
+    /// its source's shared or private probability sum, in object order:
+    /// the sums [`crate::partial::overlap_contrast`] takes.
+    fn evidence(&self, a: SourceId, b: SourceId) -> (PairLikelihoods, [SideSums; 2]) {
+        let params = self.params;
+        let accuracy = |s: SourceId| {
+            params.clamp_accuracy(self.accuracies.get(s.index()).copied().unwrap_or(0.5))
+        };
+        let (aa, ab) = (accuracy(a), accuracy(b));
+        let (c, mu) = (params.copy_rate, params.copy_mutation_rate);
+        let mut out = PairLikelihoods::default();
+        let (mut shared_a, mut private_a, mut shared_b, mut private_b) = (0.0, 0.0, 0.0, 0.0);
+        // Each side's assertions, cut to its column run (a source outside a
+        // pair-restricted column reads as empty), so the merge indexes both
+        // within one length.
+        let run = |s: SourceId| {
+            let probs = self.starts.get(s.index()..s.index() + 2);
+            let probs = probs.map_or(&[][..], |r| &self.probs[r[0]..r[1]]);
+            (&self.snapshot.source_assertions(s)[..probs.len()], probs)
+        };
+        let ((sa, pa), (sb, pb)) = (run(a), run(b));
+        let (mut i, mut j) = (0, 0);
+        while i < sa.len() && j < sb.len() {
+            let ((object, va), (ob, vb)) = (sa[i], sb[j]);
+            if object != ob {
+                if object < ob {
+                    private_a += pa[i];
+                    i += 1;
+                } else {
+                    private_b += pb[j];
+                    j += 1;
+                }
+                continue;
+            }
+            let p_true = pa[i];
+            shared_a += p_true;
+            shared_b += pb[j];
+            i += 1;
+            j += 1;
+
+            out.overlap += 1;
+            let n = effective_n_false(self.snapshot, object, params) as f64;
+            let (it, if_, id) = independent_probs(aa, ab, n);
+            // "`a` copies `b`": the original is `b`; and the reverse.
+            let (abt, abf, abd) = copying_probs(ab, aa, c, mu, n);
+            let (bat, baf, bad) = copying_probs(aa, ab, c, mu, n);
+            if va == vb {
+                let p_false = 1.0 - p_true;
+                out.shared_false_mass += p_false;
+                out.log_independent += (p_true * it + p_false * if_).max(1e-300).ln();
+                out.log_a_copies_b += (p_true * abt + p_false * abf).max(1e-300).ln();
+                out.log_b_copies_a += (p_true * bat + p_false * baf).max(1e-300).ln();
+            } else {
+                out.log_independent += id.ln();
+                out.log_a_copies_b += abd.ln();
+                out.log_b_copies_a += bad.ln();
+            }
+        }
+        let private_a = pa[i..].iter().fold(private_a, |sum, &p| sum + p);
+        let private_b = pb[j..].iter().fold(private_b, |sum, &p| sum + p);
+        let n = out.overlap;
+        let sides = [
+            ((shared_a, n), (private_a, pa.len() - n)),
+            ((shared_b, n), (private_b, pb.len() - n)),
+        ];
+        (out, sides)
+    }
+
+    /// [`detect_pair`] over this pass's column: the posterior, then the
+    /// equal-weight blend with the direction hint.
+    pub(crate) fn detect(&self, a: SourceId, b: SourceId) -> Option<PairDependence> {
+        let (lik, [side_a, side_b]) = self.evidence(a, b);
+        if lik.overlap < self.params.min_overlap {
+            return None;
+        }
+        let mut dep = posterior(a, b, &lik, self.params);
+        // Only the contrast is used; with `from_sums` inlined, its z
+        // statistic is never computed.
+        let weight =
+            |(shared, private)| OverlapContrast::from_sums(shared, private).map(|c| c.contrast());
+        let (ca, cb) = (weight(side_a), weight(side_b));
+        // `posterior` returns the canonical orientation; take the hint in it.
+        let hint = if dep.a == a {
+            blend_contrasts(ca, cb)
+        } else {
+            blend_contrasts(cb, ca)
+        };
+        if let Some(hint) = hint {
+            dep.prob_a_on_b = 0.5 * dep.prob_a_on_b + 0.5 * hint;
+            dep.direction = direction_of(dep.probability, dep.prob_a_on_b);
+        }
+        Some(dep)
+    }
 }
 
 #[cfg(test)]

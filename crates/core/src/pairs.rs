@@ -7,13 +7,13 @@
 //! (the paper's Example 4.1 screens AbeBooks bookstore pairs by "at least
 //! the same 10 books"). [`candidate_pairs`] enumerates exactly those pairs
 //! from a per-object inverted index; [`detect_all`] fans the surviving pairs
-//! out across worker threads.
+//! out across worker threads, each pair's row carrying its direction hint.
 
 use std::collections::HashMap;
 
 use sailing_model::{ObjectId, SnapshotView, SourceId};
 
-use crate::copy;
+use crate::copy::DetectionPass;
 use crate::params::DetectionParams;
 use crate::report::PairDependence;
 use crate::truth::ValueProbabilities;
@@ -71,15 +71,18 @@ pub fn detect_all(
 /// The pair list is snapshot-invariant, so iterative callers (the
 /// [`crate::AccuCopy`] loop) enumerate it **once per snapshot** and thread
 /// it through every iteration instead of rebuilding the inverted-index
-/// counts each round. The per-object effective-`n` column is hoisted here,
-/// once per call, and shared by every worker.
+/// counts each round. One column, `probs.prob` of every assertion in the
+/// snapshot's per-source layout, is built here once per call and shared by
+/// every worker. Each row is [`crate::copy::detect_pair`]'s: the copy
+/// posterior with the overlap-property direction hint blended in.
 ///
 /// The parallel fan-out assigns pairs to workers by **overlap-weighted
 /// balanced chunks** (longest-processing-time greedy): per-pair cost is
 /// proportional to its overlap, and overlap counts are heavily skewed, so
 /// equal-length contiguous chunks let one fat chunk serialize the scope.
-/// The output is sorted by `(a, b)` and therefore deterministic regardless
-/// of thread count or chunk shape.
+/// A worker that panics does not take the pass down: its chunk is
+/// detected again on the calling thread. The output is sorted by `(a, b)`
+/// and therefore deterministic regardless of thread count or chunk shape.
 pub fn detect_all_with_pairs(
     snapshot: &SnapshotView,
     pairs: &[(SourceId, SourceId, usize)],
@@ -87,45 +90,48 @@ pub fn detect_all_with_pairs(
     accuracies: &[f64],
     params: &DetectionParams,
 ) -> Vec<PairDependence> {
-    let n_false = crate::truth::effective_n_false_table(snapshot, params);
-    let threads = params.threads.max(1);
-    if threads == 1 || pairs.len() < 2 * threads {
-        let mut out: Vec<PairDependence> = pairs
-            .iter()
-            .filter_map(|&(a, b, _)| {
-                copy::detect_pair_with(snapshot, a, b, probs, accuracies, &n_false, params)
-            })
-            .collect();
-        // The caller may hand pairs in any order (e.g. a shard's LPT
-        // ordering); sorted output must not depend on the thread count.
-        out.sort_by_key(|p| (p.a, p.b));
-        return out;
+    // Nothing to test (always so with copy detection off): skip building
+    // the per-pass column.
+    if pairs.is_empty() {
+        return Vec::new();
     }
-
-    let chunks = balanced_chunks(pairs, threads);
-    let n_false = &n_false;
-    let mut results: Vec<Vec<PairDependence>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
+    let pass = DetectionPass::new(snapshot, probs, accuracies, params, None);
+    let detect_chunk = |chunk: &[(SourceId, SourceId, usize)]| {
+        chunk
             .iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .filter_map(|&(a, b, _)| {
-                            copy::detect_pair_with(
-                                snapshot, a, b, probs, accuracies, n_false, params,
-                            )
-                        })
-                        .collect::<Vec<_>>()
+            .filter_map(|&(a, b, _)| pass.detect(a, b))
+            .collect::<Vec<_>>()
+    };
+    let threads = params.threads.max(1);
+    let mut out = if threads == 1 || pairs.len() < 2 * threads {
+        detect_chunk(pairs)
+    } else {
+        let chunks = balanced_chunks(pairs, threads);
+        #[cfg(test)]
+        let poisoned = tests::PANIC_ON_PAIR.with(std::cell::Cell::take);
+        let detect_chunk = &detect_chunk;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        #[cfg(test)]
+                        tests::panic_if_poisoned(chunk, poisoned);
+                        detect_chunk(chunk)
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            results.push(h.join().expect("detection worker panicked"));
-        }
-    });
-    let mut out: Vec<PairDependence> = results.into_iter().flatten().collect();
+                .collect();
+            // Every handle is joined; a panicked worker's chunk is
+            // re-detected here, so the output stays complete.
+            handles
+                .into_iter()
+                .zip(&chunks)
+                .flat_map(|(handle, chunk)| handle.join().unwrap_or_else(|_| detect_chunk(chunk)))
+                .collect()
+        })
+    };
+    // The caller may hand pairs in any order (e.g. a shard's LPT
+    // ordering); sorted output must not depend on the thread count.
     out.sort_by_key(|p| (p.a, p.b));
     out
 }
@@ -164,6 +170,56 @@ mod tests {
     use super::*;
     use crate::truth::{weighted_vote, DependenceMatrix};
     use sailing_model::fixtures;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Fault injection: the next parallel [`detect_all_with_pairs`] on
+        /// this thread panics in the worker whose chunk holds this pair.
+        pub(super) static PANIC_ON_PAIR: Cell<Option<(SourceId, SourceId)>> =
+            const { Cell::new(None) };
+    }
+
+    pub(super) fn panic_if_poisoned(
+        chunk: &[(SourceId, SourceId, usize)],
+        poisoned: Option<(SourceId, SourceId)>,
+    ) {
+        let hit = chunk.iter().any(|&(a, b, _)| Some((a, b)) == poisoned);
+        assert!(!hit, "injected detection worker panic");
+    }
+
+    #[test]
+    fn a_panicked_worker_chunk_is_detected_on_the_caller() {
+        let (store, _) = fixtures::table1();
+        let snap = store.snapshot();
+        let params = DetectionParams::default();
+        let accs = vec![params.initial_accuracy; snap.num_sources()];
+        let probs = weighted_vote(&snap, &accs, &DependenceMatrix::new(), &params);
+        let pairs = candidate_pairs(&snap, params.min_overlap);
+        let seq = detect_all_with_pairs(&snap, &pairs, &probs, &accs, &params);
+
+        let par_params = DetectionParams {
+            threads: 3,
+            ..params
+        };
+        assert!(
+            pairs.len() >= 2 * par_params.threads,
+            "takes the parallel path"
+        );
+        let (a, b, _) = pairs[pairs.len() / 2];
+        PANIC_ON_PAIR.with(|p| p.set(Some((a, b))));
+        let par = detect_all_with_pairs(&snap, &pairs, &probs, &accs, &par_params);
+        assert_eq!(
+            PANIC_ON_PAIR.with(Cell::get),
+            None,
+            "the armed injection was consumed"
+        );
+        assert_eq!(seq.len(), par.len(), "no row lost with the panicked chunk");
+        for (x, y) in seq.iter().zip(&par) {
+            assert_eq!((x.a, x.b, x.direction), (y.a, y.b, y.direction));
+            assert_eq!(x.probability.to_bits(), y.probability.to_bits());
+            assert_eq!(x.prob_a_on_b.to_bits(), y.prob_a_on_b.to_bits());
+        }
+    }
 
     #[test]
     fn candidate_pairs_on_table1_is_complete() {

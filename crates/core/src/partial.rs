@@ -6,6 +6,8 @@
 //! accuracy: if a source's accuracy on the items it shares with another
 //! source differs significantly from its accuracy on its private items, the
 //! shared part was probably copied (Section 3.1, *Partial dependence*).
+//! Copy detection computes the hint inside its own per-pair merge;
+//! [`direction_hint`] is the reference form it matches bit for bit.
 
 use sailing_model::{SnapshotView, SourceId};
 
@@ -39,6 +41,32 @@ impl OverlapContrast {
     pub fn is_significant(&self, z_threshold: f64) -> bool {
         self.z_score.abs() >= z_threshold
     }
+
+    /// The contrast from one source's `(probability sum, item count)` over
+    /// its shared and its private items, each sum taken in object order;
+    /// `None` when either subset is empty.
+    #[inline]
+    pub(crate) fn from_sums(
+        (overlap_sum, overlap_n): (f64, usize),
+        (private_sum, private_n): (f64, usize),
+    ) -> Option<Self> {
+        if overlap_n == 0 || private_n == 0 {
+            return None;
+        }
+        let p1 = overlap_sum / overlap_n as f64;
+        let p2 = private_sum / private_n as f64;
+        let pooled = (overlap_sum + private_sum) / (overlap_n + private_n) as f64;
+        let se = (pooled * (1.0 - pooled) * (1.0 / overlap_n as f64 + 1.0 / private_n as f64))
+            .sqrt()
+            .max(1e-9);
+        Some(Self {
+            overlap_accuracy: p1,
+            private_accuracy: p2,
+            overlap_count: overlap_n,
+            private_count: private_n,
+            z_score: (p1 - p2) / se,
+        })
+    }
 }
 
 /// Computes the overlap/private accuracy contrast of `subject` with respect
@@ -65,22 +93,7 @@ pub fn overlap_contrast(
             private_n += 1;
         }
     }
-    if overlap_n == 0 || private_n == 0 {
-        return None;
-    }
-    let p1 = overlap_sum / overlap_n as f64;
-    let p2 = private_sum / private_n as f64;
-    let pooled = (overlap_sum + private_sum) / (overlap_n + private_n) as f64;
-    let se = (pooled * (1.0 - pooled) * (1.0 / overlap_n as f64 + 1.0 / private_n as f64))
-        .sqrt()
-        .max(1e-9);
-    Some(OverlapContrast {
-        overlap_accuracy: p1,
-        private_accuracy: p2,
-        overlap_count: overlap_n,
-        private_count: private_n,
-        z_score: (p1 - p2) / se,
-    })
+    OverlapContrast::from_sums((overlap_sum, overlap_n), (private_sum, private_n))
 }
 
 /// Direction hint from the overlap-property intuition: of the two sources,
@@ -95,12 +108,18 @@ pub fn direction_hint(
     b: SourceId,
     probs: &ValueProbabilities,
 ) -> Option<f64> {
-    let ca = overlap_contrast(snapshot, a, b, probs);
-    let cb = overlap_contrast(snapshot, b, a, probs);
+    let weight = |subject, other| overlap_contrast(snapshot, subject, other, probs);
+    blend_contrasts(
+        weight(a, b).map(|c| c.contrast()),
+        weight(b, a).map(|c| c.contrast()),
+    )
+}
+
+/// [`direction_hint`] from the two sides' [`OverlapContrast::contrast`]s:
+/// `ca` of `a` against `b`, `cb` of `b` against `a`.
+pub(crate) fn blend_contrasts(ca: Option<f64>, cb: Option<f64>) -> Option<f64> {
     match (ca, cb) {
-        (Some(ca), Some(cb)) => {
-            let wa = ca.contrast();
-            let wb = cb.contrast();
+        (Some(wa), Some(wb)) => {
             if wa + wb < 1e-9 {
                 Some(0.5)
             } else {

@@ -19,8 +19,7 @@ use sailing_model::{Delta, ObjectId, SailingError, SnapshotView, SourceId, Value
 use crate::accuracy::{estimate_accuracies, max_delta};
 use crate::pairs::{candidate_pairs, detect_all_with_pairs};
 use crate::params::DetectionParams;
-use crate::partial;
-use crate::report::{Direction, PairDependence, SourceReport};
+use crate::report::{PairDependence, SourceReport};
 use crate::shard::{iteration_digest, ShardStep};
 use crate::truth::{weighted_vote, DependenceMatrix, ValueProbabilities};
 
@@ -461,28 +460,21 @@ impl AccuCopy {
         }
     }
 
-    /// One dependence-detection pass over `candidates` against `state`,
-    /// with per-pair direction refinement.
+    /// One dependence-detection pass over `candidates` against `state`;
+    /// each row carries its pair's direction hint.
     pub(crate) fn detect(
         &self,
         snapshot: &SnapshotView,
         candidates: &[(SourceId, SourceId, usize)],
         state: &PipelineResult,
     ) -> Vec<PairDependence> {
-        // Nothing to test (always so with copy detection off): skip the
-        // per-pass setup `detect_all_with_pairs` does before its loop.
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let mut dependences = detect_all_with_pairs(
+        detect_all_with_pairs(
             snapshot,
             candidates,
             &state.probabilities,
             &state.accuracies,
             &self.params,
-        );
-        refine_directions(snapshot, &state.probabilities, &mut dependences);
-        dependences
+        )
     }
 }
 
@@ -782,28 +774,6 @@ pub(crate) fn seed_accuracies(
             seeded
         }
         None => vec![params.initial_accuracy; snapshot.num_sources()],
-    }
-}
-
-/// Blends the likelihood-based direction posterior with the
-/// overlap-property hint (Section 3.2, intuition 2).
-pub(crate) fn refine_directions(
-    snapshot: &SnapshotView,
-    probs: &ValueProbabilities,
-    deps: &mut [PairDependence],
-) {
-    for dep in deps {
-        if let Some(hint) = partial::direction_hint(snapshot, dep.a, dep.b, probs) {
-            // Equal-weight blend of the two independent direction signals.
-            dep.prob_a_on_b = 0.5 * dep.prob_a_on_b + 0.5 * hint;
-            dep.direction = if dep.probability < 0.5 || (dep.prob_a_on_b - 0.5).abs() < 0.1 {
-                Direction::Unknown
-            } else if dep.prob_a_on_b > 0.5 {
-                Direction::AOnB
-            } else {
-                Direction::BOnA
-            };
-        }
     }
 }
 

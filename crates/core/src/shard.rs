@@ -20,7 +20,7 @@
 //! * candidate enumeration ([`crate::pairs::candidate_pairs`]) is a
 //!   deterministic, sorted function of the snapshot, so every worker
 //!   sees the same list and slicing commutes with detection;
-//! * per-pair detection and direction refinement touch no cross-pair
+//! * per-pair detection, direction hint included, touches no cross-pair
 //!   state, so concatenating per-range outputs in range order
 //!   reproduces the monolithic detection output element for element;
 //! * the merge tail is [`AccuCopy::run_warm`]'s iteration step itself,
@@ -208,9 +208,9 @@ impl AccuCopy {
         }
     }
 
-    /// Runs one shard's dependence-detection pass (detection plus
-    /// per-pair direction refinement) against the current iteration
-    /// `state`, over `range` of the canonical candidate-pair list.
+    /// Runs one shard's dependence-detection pass (each pair's posterior
+    /// with its direction hint) against the current iteration `state`,
+    /// over `range` of the canonical candidate-pair list.
     ///
     /// The range is clamped to the list actually enumerated from
     /// `snapshot`, so a caller-supplied range that overshoots (e.g.

@@ -417,21 +417,6 @@ pub fn effective_n_false(
         .max(1)
 }
 
-/// The effective-`n` column for a whole snapshot, indexed by [`ObjectId`].
-///
-/// `effective_n_false` is snapshot-invariant, yet the pre-columnar pipeline
-/// recomputed it — including a fresh hash count in `distinct_values` — for
-/// every shared object of every candidate pair in every iteration
-/// (Σ-overlap × iterations times). [`crate::pairs::detect_all_with_pairs`]
-/// hoists it once per detection pass (an O(num_objects) column build over
-/// the O(1) precomputed distinct counts) and shares the slice with every
-/// worker via [`crate::copy::pair_likelihoods_with`].
-pub fn effective_n_false_table(snapshot: &SnapshotView, params: &DetectionParams) -> Vec<f64> {
-    (0..snapshot.num_objects())
-        .map(|idx| effective_n_false(snapshot, ObjectId::from_index(idx), params) as f64)
-        .collect()
-}
-
 /// One round of dependence-damped weighted voting.
 ///
 /// For each object, supporters of each value are processed in descending
