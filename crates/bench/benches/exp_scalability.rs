@@ -860,9 +860,9 @@ fn main() {
         "drain barrier left entries behind"
     );
     assert!(flushed <= awb_snapshots, "drained more than was enqueued");
-    let async_stats = async_engine.cache_stats();
+    let async_stats = async_engine.cache_stats().persist.unwrap();
     assert_eq!(
-        (async_stats.disk_write_errors, async_stats.disk_dropped),
+        (async_stats.write_errors, async_stats.dropped),
         (0, 0),
         "{async_stats:?}"
     );

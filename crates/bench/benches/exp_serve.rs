@@ -218,19 +218,19 @@ fn main() {
         "single-flight violated: {herd_threads} concurrent admissions ran discovery {herd_runs}x"
     );
     assert_eq!(
-        herd_metrics.cache_hits + herd_metrics.inflight_waits,
+        herd_metrics.cache.hits + herd_metrics.cache.inflight_waits,
         herd_threads as u64 - 1,
         "every non-leader must either wait in flight or hit the landed cache"
     );
     assert!(
-        herd_metrics.inflight_waits >= 1,
+        herd_metrics.cache.inflight_waits >= 1,
         "someone must have adopted the in-flight computation"
     );
     let herd = HerdPoint {
         threads: herd_threads,
         discovery_runs: herd_runs,
-        inflight_waits: herd_metrics.inflight_waits,
-        cache_hits: herd_metrics.cache_hits,
+        inflight_waits: herd_metrics.cache.inflight_waits,
+        cache_hits: herd_metrics.cache.hits,
     };
     println!(
         "\nsingle-flight herd: {herd_threads} cold admissions -> {herd_runs} discovery run \

@@ -106,7 +106,9 @@ pub fn detect_all_with_pairs(
     let mut out = if threads == 1 || pairs.len() < 2 * threads {
         detect_chunk(pairs)
     } else {
-        let chunks = balanced_chunks(pairs, threads);
+        // Every pair costs at least the detection setup, so overlap 0
+        // still weighs 1.
+        let chunks = balanced_chunks(pairs, threads, |&(_, _, overlap)| overlap.max(1));
         #[cfg(test)]
         let poisoned = tests::PANIC_ON_PAIR.with(std::cell::Cell::take);
         let detect_chunk = &detect_chunk;
@@ -136,33 +138,30 @@ pub fn detect_all_with_pairs(
     out
 }
 
-/// Splits pairs into at most `threads` buckets with near-equal total
-/// overlap weight: pairs are taken heaviest-first and each goes to the
-/// currently lightest bucket (the classic LPT greedy, within 4/3 of
-/// optimal). Deterministic for a given input.
-fn balanced_chunks(
-    pairs: &[(SourceId, SourceId, usize)],
-    threads: usize,
-) -> Vec<Vec<(SourceId, SourceId, usize)>> {
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    // Heaviest first; index tiebreak keeps the assignment deterministic.
-    order.sort_by_key(|&i| (std::cmp::Reverse(pairs[i].2), i));
-    let mut buckets: Vec<Vec<(SourceId, SourceId, usize)>> = vec![Vec::new(); threads];
-    let mut loads = vec![0usize; threads];
+/// Splits `items` into at most `buckets` non-empty chunks with near-equal
+/// total `weight`: items are taken heaviest-first (ties in input order)
+/// and each goes to the currently lightest chunk (ties to the lowest
+/// index) — the classic LPT greedy, within 4/3 of optimal. Deterministic
+/// for a given input. Give every item a weight of at least 1, so
+/// zero-cost items still spread instead of piling into one chunk.
+pub fn balanced_chunks<T: Clone>(
+    items: &[T],
+    buckets: usize,
+    weight: impl Fn(&T) -> usize,
+) -> Vec<Vec<T>> {
+    let buckets = buckets.min(items.len()).max(1);
+    let weights: Vec<usize> = items.iter().map(weight).collect();
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
+    let mut chunks: Vec<Vec<T>> = vec![Vec::new(); buckets];
+    let mut loads = vec![0usize; buckets];
     for i in order {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by_key(|&(b, &load)| (load, b))
-            .map(|(b, _)| b)
-            .expect("at least one bucket");
-        // Every pair costs at least the detection setup, so weight 0 still
-        // counts as 1 toward the balance.
-        loads[lightest] += pairs[i].2.max(1);
-        buckets[lightest].push(pairs[i]);
+        let lightest = (0..buckets).min_by_key(|&b| loads[b]).expect("buckets > 0");
+        loads[lightest] += weights[i];
+        chunks[lightest].push(items[i].clone());
     }
-    buckets.retain(|b| !b.is_empty());
-    buckets
+    chunks.retain(|c| !c.is_empty());
+    chunks
 }
 
 #[cfg(test)]
@@ -328,7 +327,7 @@ mod tests {
         let mut pairs: Vec<(SourceId, SourceId, usize)> =
             (1..=20u32).map(|i| (SourceId(0), SourceId(i), 2)).collect();
         pairs.push((SourceId(21), SourceId(22), 40));
-        let chunks = balanced_chunks(&pairs, 4);
+        let chunks = balanced_chunks(&pairs, 4, |&(_, _, w)| w.max(1));
         assert!(chunks.len() <= 4);
         let total: usize = chunks.iter().map(Vec::len).sum();
         assert_eq!(total, pairs.len(), "every pair assigned exactly once");

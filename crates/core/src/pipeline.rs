@@ -481,7 +481,7 @@ impl AccuCopy {
 /// Which path [`AccuCopy::run_delta`] took — the typed record the ingest
 /// tier folds into its stats, so "incremental" vs "fell back to a full
 /// run" is observable rather than inferred from timings.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum DeltaOutcome {
     /// Only the dirty component was re-converged; everything outside it
     /// was spliced through from the previous result unchanged.

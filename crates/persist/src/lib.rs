@@ -144,9 +144,10 @@
 //!   a dead disk). After `cooldown`, the next `put` is admitted as a
 //!   **half-open probe**: if its write succeeds the breaker closes and
 //!   normal service resumes; if it fails the breaker re-opens for
-//!   another cooldown. [`PersistentStore::breaker_state`] exposes the
-//!   current [`BreakerState`]; the `sailing` facade folds it into
-//!   `CacheStats` and the serve tier into its `MetricsSnapshot`.
+//!   another cooldown. [`PersistStats::breaker`] reports the current
+//!   [`BreakerState`]; the `sailing` facade nests the whole
+//!   [`PersistStats`] in `CacheStats::persist`, and the serve tier nests
+//!   that in its `MetricsSnapshot`.
 //! * **Bounded shutdown** — dropping the last handle of an async store
 //!   drains with a deadline ([`StoreOptions::shutdown_deadline`],
 //!   default [`SHUTDOWN_DRAIN_DEADLINE`]); a filesystem hung past the
@@ -238,7 +239,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use serde::{Content, Deserialize};
+use serde::{Content, Deserialize, Serialize};
 
 use sailing_core::truth::ValueProbabilities;
 use sailing_core::{PairDependence, PipelineResult};
@@ -466,7 +467,7 @@ impl StoreOptions {
 /// [`StoreOptions::breaker`] and the
 /// [module docs](self#failure-semantics)). A store without a breaker
 /// configured always reports `Closed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum BreakerState {
     /// Writes flow normally.
     #[default]
@@ -504,8 +505,10 @@ struct Breaker {
 }
 
 /// Counters of one store handle's activity (in-memory; they reset with the
-/// process, while the entries themselves persist).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// process, while the entries themselves persist), plus the circuit
+/// breaker's phase at sampling time. This is the persist layer's one stats
+/// value: the `sailing` facade nests it whole in `CacheStats::persist`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct PersistStats {
     /// Lookups answered from disk (or the pending write buffer).
     pub disk_hits: u64,
@@ -533,6 +536,10 @@ pub struct PersistStats {
     /// a half-open probe was already in flight) — future cold misses
     /// taken instead of queueing doomed writes.
     pub breaker_fast_fails: u64,
+    /// The circuit breaker's phase when these stats were taken
+    /// ([`BreakerState::Closed`] when no breaker is configured). Purely
+    /// observational — admission decisions happen inside `put`.
+    pub breaker: BreakerState,
 }
 
 /// Outcome of a [`PersistentStore::compact`] sweep.
@@ -983,17 +990,11 @@ impl PersistentStore {
             dropped: self.inner.dropped.load(Ordering::Relaxed),
             retries: self.inner.retries.load(Ordering::Relaxed),
             breaker_fast_fails: self.inner.breaker_fast_fails.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Current phase of the circuit breaker ([`BreakerState::Closed`]
-    /// when no breaker is configured). Purely observational — admission
-    /// decisions happen inside `put`.
-    pub fn breaker_state(&self) -> BreakerState {
-        match recover(self.inner.breaker.lock()).phase {
-            BreakerPhase::Closed => BreakerState::Closed,
-            BreakerPhase::Open { .. } => BreakerState::Open,
-            BreakerPhase::HalfOpen => BreakerState::HalfOpen,
+            breaker: match recover(self.inner.breaker.lock()).phase {
+                BreakerPhase::Closed => BreakerState::Closed,
+                BreakerPhase::Open { .. } => BreakerState::Open,
+                BreakerPhase::HalfOpen => BreakerState::HalfOpen,
+            },
         }
     }
 
@@ -2456,25 +2457,25 @@ mod tests {
         // Two consecutive exhausted-retry failures trip the breaker.
         put(1);
         assert!(store.flush().is_err());
-        assert_eq!(store.breaker_state(), BreakerState::Closed);
+        assert_eq!(store.stats().breaker, BreakerState::Closed);
         put(2);
         assert!(store.flush().is_err());
-        assert_eq!(store.breaker_state(), BreakerState::Open);
+        assert_eq!(store.stats().breaker, BreakerState::Open);
         // Zero cooldown: the next put is admitted as the half-open probe…
         put(3);
-        assert_eq!(store.breaker_state(), BreakerState::HalfOpen);
+        assert_eq!(store.stats().breaker, BreakerState::HalfOpen);
         // …and anything piling on behind the pending probe fast-fails.
         put(4);
         assert_eq!(store.stats().breaker_fast_fails, 1);
         // The probe fails: back to open for another cooldown.
         assert!(store.flush().is_err());
-        assert_eq!(store.breaker_state(), BreakerState::Open);
+        assert_eq!(store.stats().breaker, BreakerState::Open);
         // The disk heals; the next probe succeeds and re-closes.
         plan.heal();
         put(5);
-        assert_eq!(store.breaker_state(), BreakerState::HalfOpen);
+        assert_eq!(store.stats().breaker, BreakerState::HalfOpen);
         assert_eq!(store.flush().unwrap(), 1);
-        assert_eq!(store.breaker_state(), BreakerState::Closed);
+        assert_eq!(store.stats().breaker, BreakerState::Closed);
         // Normal service resumed.
         put(6);
         assert_eq!(store.flush().unwrap(), 1);
@@ -2504,12 +2505,12 @@ mod tests {
         .unwrap();
         store.put(key(1), Arc::clone(&snapshot), Arc::clone(&result));
         assert!(store.flush().is_err());
-        assert_eq!(store.breaker_state(), BreakerState::Open);
+        assert_eq!(store.stats().breaker, BreakerState::Open);
         // An hour-long cooldown: every put inside it is refused — no
         // queue growth, no syscalls, no half-open probe yet.
         store.put(key(2), Arc::clone(&snapshot), Arc::clone(&result));
         store.put(key(3), Arc::clone(&snapshot), Arc::clone(&result));
-        assert_eq!(store.breaker_state(), BreakerState::Open);
+        assert_eq!(store.stats().breaker, BreakerState::Open);
         let stats = store.stats();
         assert_eq!(stats.breaker_fast_fails, 2, "{stats:?}");
         assert_eq!(stats.writes, 0, "{stats:?}");

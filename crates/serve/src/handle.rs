@@ -315,19 +315,20 @@ impl ServeHandle {
         out
     }
 
-    /// Snapshots the serve metrics, folding in the engine's cache and
-    /// persistence counters and the current [`Health`].
+    /// Snapshots the serve metrics, nesting the engine's
+    /// [`CacheStats`](sailing::CacheStats) (and through it the store's
+    /// persistence stats) and the current [`Health`].
     pub fn metrics(&self) -> MetricsSnapshot {
         self.inner
             .metrics
-            .snapshot(&self.inner.engine.cache_stats(), &self.health())
+            .snapshot(self.inner.engine.cache_stats(), &self.health())
     }
 
     /// Drains the engine's retained deferred persistence errors
     /// ([`SailingError::PersistDeferred`] values from background store
     /// writes that failed after their analysis was already served).
-    /// Counts stay visible in
-    /// [`MetricsSnapshot::disk_write_errors`](crate::MetricsSnapshot);
+    /// Counts stay visible in `cache.persist.write_errors` of
+    /// [`ServeHandle::metrics`];
     /// this hands over the errors themselves, clearing the retained list.
     pub fn take_persist_write_errors(&self) -> Vec<SailingError> {
         self.inner.engine.take_persist_write_errors()
@@ -536,14 +537,15 @@ mod tests {
         );
 
         let metrics = handle.metrics();
-        assert_eq!(metrics.ingest_events, snapshot.num_assertions() as u64);
-        assert_eq!(metrics.ingest_deltas_sealed, 1);
-        assert_eq!(metrics.ingest_full_fallbacks, 1, "cold bootstrap epoch");
-        assert_eq!(metrics.ingest_incremental_runs, 0);
-        assert!(metrics.ingest_iterations_total > 0);
-        // Additive wire fields serialize alongside the existing ones.
+        assert_eq!(metrics.ingest.events, snapshot.num_assertions() as u64);
+        assert_eq!(metrics.ingest.deltas_sealed, 1);
+        assert_eq!(metrics.ingest.full_fallbacks, 1, "cold bootstrap epoch");
+        assert_eq!(metrics.ingest.incremental_runs, 0);
+        assert!(metrics.ingest.iterations_total > 0);
+        // The ingest stats serialize as one nested object.
         let json = serde_json::to_string(&metrics).unwrap();
-        assert!(json.contains("\"ingest_deltas_sealed\":1"), "{json}");
+        assert!(json.contains("\"ingest\":{"), "{json}");
+        assert!(json.contains("\"deltas_sealed\":1"), "{json}");
 
         // Re-publishing the unchanged session analysis must not bump the
         // generation: assemble shares the same result/snapshot Arcs only
@@ -570,7 +572,7 @@ mod tests {
         );
         assert!(session.seal());
         handle.publish_ingest(&session);
-        assert_eq!(handle.metrics().ingest_deltas_sealed, 2);
+        assert_eq!(handle.metrics().ingest.deltas_sealed, 2);
         assert_eq!(handle.generation(), 3);
     }
 
@@ -600,18 +602,18 @@ mod tests {
         // the latest session's cumulative counters, so the second session
         // clobbered the first instead of adding to it.
         let metrics = handle.metrics();
-        assert_eq!(metrics.ingest_events, 3, "2 from session one + 1 from two");
-        assert_eq!(metrics.ingest_deltas_sealed, 2);
+        assert_eq!(metrics.ingest.events, 3, "2 from session one + 1 from two");
+        assert_eq!(metrics.ingest.deltas_sealed, 2);
 
         // Re-publishing an unchanged session is a zero delta, and further
         // progress in either session folds additively.
         handle.note_ingest(&one);
-        assert_eq!(handle.metrics().ingest_events, 3);
+        assert_eq!(handle.metrics().ingest.events, 3);
         one.assert_claim(SourceId(2), ObjectId(0), ValueId(1), 0, 3);
         assert!(one.seal());
         handle.note_ingest(&one);
         let metrics = handle.metrics();
-        assert_eq!(metrics.ingest_events, 4);
-        assert_eq!(metrics.ingest_deltas_sealed, 3);
+        assert_eq!(metrics.ingest.events, 4);
+        assert_eq!(metrics.ingest.deltas_sealed, 3);
     }
 }

@@ -23,10 +23,11 @@
 //!   [`CacheStats::inflight_waits`](sailing::CacheStats::inflight_waits)).
 //! * **Every endpoint is measured.** Per-endpoint request counters and
 //!   fixed-bucket latency histograms yield p50/p99 through a cheap
-//!   [`MetricsSnapshot`], which also folds in the engine's cache/disk
-//!   counters and the persist tier's deferred-error counts
-//!   ([`ServeHandle::take_persist_write_errors`] surfaces the errors
-//!   themselves).
+//!   [`MetricsSnapshot`], which nests the engine's
+//!   [`CacheStats`](sailing::CacheStats) whole as `cache` — and through
+//!   it the persist tier's own stats as `cache.persist`, deferred-error
+//!   counts included ([`ServeHandle::take_persist_write_errors`] surfaces
+//!   the errors themselves).
 //!
 //! ```
 //! use std::sync::Arc;
@@ -86,8 +87,9 @@
 //! [`ServeHandle::publish_ingest`] publishes the session's analysis
 //! through the same watchdog gating as [`ServeHandle::refresh`] while
 //! folding the session's [`IngestStats`](sailing::IngestStats)
-//! (events, epochs, incremental-vs-fallback counts, iterations spent)
-//! into [`MetricsSnapshot`]. Incremental results bypass the engine's
+//! (events, epochs, incremental-vs-fallback counts, dirty closures,
+//! iterations spent, the last epoch's outcome) into
+//! [`MetricsSnapshot::ingest`]. Incremental results bypass the engine's
 //! analysis cache, so the dedicated
 //! [`ServeHandle::refresh_analysis`] path exists to publish them
 //! without re-running full discovery.
@@ -103,9 +105,9 @@
 //! [`Health::Degraded`] — carrying when the outage began and why — until
 //! a refresh converges again. [`MetricsSnapshot`] folds the health in
 //! (`healthy` / `degraded_reason` / `degraded_for_secs`) alongside the
-//! persist tier's resilience counters (`disk_retries`,
-//! `disk_breaker_fast_fails`, `breaker`), so one poll answers both "are
-//! the answers fresh?" and "is the disk behind them struggling?".
+//! persist tier's resilience counters (`cache.persist.retries`,
+//! `breaker_fast_fails`, `breaker`), so one poll answers both "are the
+//! answers fresh?" and "is the disk behind them struggling?".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

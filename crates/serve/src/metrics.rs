@@ -1,6 +1,8 @@
 //! The serve-level metrics layer: per-endpoint request counters and
-//! latency histograms, folded together with the engine's cache/disk
-//! counters into one cheap [`MetricsSnapshot`].
+//! latency histograms, snapshotted together with the engine's
+//! [`CacheStats`] and the folded [`IngestStats`] into one cheap
+//! [`MetricsSnapshot`]. The lower layers' stats values are nested whole,
+//! never copied field by field.
 //!
 //! Recording is lock-free (one relaxed counter bump plus one histogram
 //! bucket bump per request) so the metrics layer never becomes the
@@ -150,9 +152,9 @@ impl ServeMetrics {
         totals.last_outcome = stats.last_outcome;
     }
 
-    /// Snapshots every counter, folding in the engine's cache stats and
-    /// the handle's current health.
-    pub(crate) fn snapshot(&self, cache: &CacheStats, health: &Health) -> MetricsSnapshot {
+    /// Snapshots every counter, nesting the engine's cache stats and the
+    /// handle's current health.
+    pub(crate) fn snapshot(&self, cache: CacheStats, health: &Health) -> MetricsSnapshot {
         let endpoints = Endpoint::ALL
             .iter()
             .map(|&e| {
@@ -175,33 +177,15 @@ impl ServeMetrics {
                 (false, Some(reason.clone()), since.elapsed().as_secs_f64())
             }
         };
-        let ingest = self
-            .ingest
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .totals;
         MetricsSnapshot {
-            ingest_events: ingest.events,
-            ingest_deltas_sealed: ingest.deltas_sealed,
-            ingest_incremental_runs: ingest.incremental_runs,
-            ingest_full_fallbacks: ingest.full_fallbacks,
-            ingest_dirty_objects_last: ingest.dirty_objects_last as u64,
-            ingest_iterations_total: ingest.iterations_total,
             endpoints,
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            inflight_waits: cache.inflight_waits,
-            disk_hits: cache.disk_hits,
-            disk_misses: cache.disk_misses,
-            disk_writes: cache.disk_writes,
-            disk_write_errors: cache.disk_write_errors,
-            disk_dropped: cache.disk_dropped,
-            disk_retries: cache.disk_retries,
-            disk_breaker_fast_fails: cache.disk_breaker_fast_fails,
-            breaker: cache.disk_breaker.as_str(),
-            shard_runs: cache.shard_runs,
-            shard_partials_adopted: cache.shard_partials_adopted,
+            cache,
+            ingest: self
+                .ingest
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .totals,
             healthy,
             degraded_reason,
             degraded_for_secs,
@@ -229,16 +213,25 @@ pub struct EndpointStats {
 }
 
 /// Everything the serving tier can tell you about itself, in one cheap
-/// value: per-endpoint request counts and latency quantiles, epoch swap
-/// count, the engine's cache/single-flight counters, and the persist
-/// tier's write/deferred-error counters.
+/// value: per-endpoint request counts and latency quantiles, the epoch
+/// swap count, and health — plus each lower layer's own stats value,
+/// nested whole:
 ///
-/// `disk_write_errors` / `disk_dropped` surface the **deferred
-/// persistence failures** — background writes that failed (or were
-/// evicted unwritten) after the originating analysis had already been
-/// served. The counts live here so a dashboard sees them; the retained
-/// errors themselves come from
-/// [`ServeHandle::take_persist_write_errors`](crate::ServeHandle::take_persist_write_errors).
+/// * [`MetricsSnapshot::cache`] — the engine's [`CacheStats`]
+///   (memory-tier hits and misses, single-flight waits, the engine's disk
+///   probes, sharded-analysis counters), which in turn nests the
+///   persistent store's [`PersistStats`](sailing::persist::PersistStats)
+///   as `cache.persist`: writes, the **deferred persistence failures**
+///   (`write_errors`, `dropped` — background writes that failed or were
+///   evicted unwritten after the originating analysis was served),
+///   retries, breaker fast-fails, rejected files and the breaker's phase.
+///   The retained errors themselves come from
+///   [`ServeHandle::take_persist_write_errors`](crate::ServeHandle::take_persist_write_errors).
+/// * [`MetricsSnapshot::ingest`] — the [`IngestStats`] folded across every
+///   ingestion session published through this handle.
+///
+/// The JSON form mirrors this nesting: `cache`, `cache.persist` and
+/// `ingest` are objects.
 #[derive(Debug, Clone, Serialize)]
 pub struct MetricsSnapshot {
     /// Per-endpoint stats, in [`Endpoint::ALL`] order.
@@ -246,43 +239,15 @@ pub struct MetricsSnapshot {
     /// Number of [`ServeHandle::admit`](crate::ServeHandle::admit) calls
     /// that actually changed the current epoch pointer.
     pub epoch_swaps: u64,
-    /// Engine analysis-cache hits (memory tier).
-    pub cache_hits: u64,
-    /// Engine analysis-cache misses (memory tier).
-    pub cache_misses: u64,
-    /// Misses that adopted a concurrent in-flight computation instead of
-    /// running discovery — the single-flight counter.
-    pub inflight_waits: u64,
-    /// Misses served by the persistent store.
-    pub disk_hits: u64,
-    /// Misses the persistent store could not serve (discovery ran).
-    pub disk_misses: u64,
-    /// Entries the persistent store has written.
-    pub disk_writes: u64,
-    /// Store writes that failed at the filesystem level (deferred errors
-    /// retained for `take_persist_write_errors`).
-    pub disk_write_errors: u64,
-    /// Entries evicted unwritten from the async write-behind queue
-    /// (bounded by
-    /// [`StoreOptions::queue_depth`](sailing::persist::StoreOptions::queue_depth)).
-    pub disk_dropped: u64,
-    /// Store write re-attempts after transient filesystem failures
-    /// ([`sailing::CacheStats::disk_retries`]; armed by
-    /// [`StoreOptions::retry`](sailing::persist::StoreOptions::retry)).
-    pub disk_retries: u64,
-    /// Writes fast-failed by the persist tier's open circuit breaker
-    /// ([`sailing::CacheStats::disk_breaker_fast_fails`]; armed by
-    /// [`StoreOptions::breaker`](sailing::persist::StoreOptions::breaker)).
-    pub disk_breaker_fast_fails: u64,
-    /// The persist circuit breaker's state at snapshot time: `"closed"`,
-    /// `"open"`, or `"half-open"` (always `"closed"` without a breaker).
-    pub breaker: &'static str,
-    /// Pair-range detection passes the engine's sharded analyses
-    /// computed locally ([`sailing::CacheStats::shard_runs`]).
-    pub shard_runs: u64,
-    /// Pair-range partials adopted from cooperating processes' published
-    /// blobs ([`sailing::CacheStats::shard_partials_adopted`]).
-    pub shard_partials_adopted: u64,
+    /// The engine's analysis-cache stats at snapshot time, with the
+    /// persistent store's stats nested as `cache.persist` (`None` without
+    /// a store).
+    pub cache: CacheStats,
+    /// Ingestion counters folded across every session published through
+    /// [`ServeHandle::publish_ingest`](crate::ServeHandle::publish_ingest):
+    /// additive totals, and the latest session's `dirty_*_last` and
+    /// `last_outcome` (all zero / `None` when no ingestion is wired).
+    pub ingest: IngestStats,
     /// `false` while the handle is serving a stale last-good epoch
     /// because refreshes keep failing (see
     /// [`Health`]).
@@ -292,20 +257,6 @@ pub struct MetricsSnapshot {
     /// Seconds since the current run of failed refreshes began (`0.0`
     /// when healthy).
     pub degraded_for_secs: f64,
-    /// Claim events appended through the ingestion session feeding this
-    /// handle (`0` when no ingestion is wired —
-    /// [`ServeHandle::publish_ingest`](crate::ServeHandle::publish_ingest)).
-    pub ingest_events: u64,
-    /// Delta epochs sealed and analyzed by the ingestion session.
-    pub ingest_deltas_sealed: u64,
-    /// Epochs served by the incremental discovery path.
-    pub ingest_incremental_runs: u64,
-    /// Epochs that fell back to a full warm re-analysis.
-    pub ingest_full_fallbacks: u64,
-    /// Objects in the most recent epoch's dirty closure.
-    pub ingest_dirty_objects_last: u64,
-    /// Total truth-discovery iterations the ingestion session has spent.
-    pub ingest_iterations_total: u64,
 }
 
 impl MetricsSnapshot {
@@ -345,10 +296,10 @@ mod tests {
             let engine = sailing::engine::SailingEngine::with_defaults();
             engine.cache_stats()
         };
-        let snap = metrics.snapshot(&cache, &Health::Healthy);
+        let snap = metrics.snapshot(cache, &Health::Healthy);
         assert_eq!(snap.endpoint(Endpoint::TopK).requests, 2);
         assert!(snap.healthy);
-        assert_eq!(snap.breaker, "closed");
+        assert_eq!(snap.cache.persist, None, "no store attached");
         assert_eq!(snap.degraded_reason, None);
         assert_eq!(snap.endpoint(Endpoint::Fuse).requests, 1);
         assert_eq!(snap.endpoint(Endpoint::Recommend).requests, 0);
@@ -362,6 +313,9 @@ mod tests {
         // The snapshot serializes (the bench and loadgen print it).
         let json = serde_json::to_string(&snap).unwrap();
         assert!(json.contains("\"top_k\""), "{json}");
+        assert!(json.contains("\"cache\":{\"hits\":0"), "{json}");
+        assert!(json.contains("\"persist\":null"), "{json}");
+        assert!(json.contains("\"last_outcome\":null"), "{json}");
     }
 
     #[test]
@@ -397,17 +351,17 @@ mod tests {
         a.iterations_total += 20;
         metrics.note_ingest(1, a);
 
-        let snap = metrics.snapshot(&cache, &Health::Healthy);
-        assert_eq!(snap.ingest_events, 20, "10 + 4 + 6");
-        assert_eq!(snap.ingest_deltas_sealed, 4);
-        assert_eq!(snap.ingest_incremental_runs, 2);
-        assert_eq!(snap.ingest_full_fallbacks, 2);
-        assert_eq!(snap.ingest_iterations_total, 150);
-        assert_eq!(snap.ingest_dirty_objects_last, 2, "latest wins");
+        let snap = metrics.snapshot(cache, &Health::Healthy);
+        assert_eq!(snap.ingest.events, 20, "10 + 4 + 6");
+        assert_eq!(snap.ingest.deltas_sealed, 4);
+        assert_eq!(snap.ingest.incremental_runs, 2);
+        assert_eq!(snap.ingest.full_fallbacks, 2);
+        assert_eq!(snap.ingest.iterations_total, 150);
+        assert_eq!(snap.ingest.dirty_objects_last, 2, "latest wins");
 
         // Re-publishing unchanged stats folds a zero delta.
         metrics.note_ingest(1, a);
-        assert_eq!(metrics.snapshot(&cache, &Health::Healthy).ingest_events, 20);
+        assert_eq!(metrics.snapshot(cache, &Health::Healthy).ingest.events, 20);
 
         // A recreated session (fresh id, counters from zero) adds to the
         // totals instead of resetting them — the old clobber bug.
@@ -416,7 +370,7 @@ mod tests {
             ..IngestStats::default()
         };
         metrics.note_ingest(3, c);
-        assert_eq!(metrics.snapshot(&cache, &Health::Healthy).ingest_events, 21);
+        assert_eq!(metrics.snapshot(cache, &Health::Healthy).ingest.events, 21);
     }
 
     #[test]

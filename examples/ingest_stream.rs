@@ -148,12 +148,11 @@ fn main() {
     );
     serve.publish_ingest(&session);
     let metrics = serve.metrics();
-    assert_eq!(metrics.ingest_deltas_sealed, stats.deltas_sealed);
-    assert_eq!(metrics.ingest_incremental_runs, stats.incremental_runs);
+    assert_eq!(metrics.ingest, stats, "one session folds to its own stats");
     println!(
         "   served epoch generation {}: {} ingest events visible in /metrics\n",
         serve.generation(),
-        metrics.ingest_events
+        metrics.ingest.events
     );
 
     if let Ok(seed) = std::env::var("SAILING_INGEST_FAULT_SEED") {

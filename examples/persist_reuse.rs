@@ -78,13 +78,13 @@ fn chaos_phase(dir: &str, seed: u64) -> Result<(), sailing::SailingError> {
             storm_failures += 1;
         }
     }
-    let mid = engine.cache_stats();
+    let mid = engine.cache_stats().persist.expect("a store is attached");
     println!(
         "  storm: {} analyses, {} flush failures, {} retries, breaker {}",
         snapshots.len(),
         storm_failures,
-        mid.disk_retries,
-        mid.disk_breaker.as_str()
+        mid.retries,
+        mid.breaker.as_str()
     );
 
     plan.heal();
@@ -92,9 +92,9 @@ fn chaos_phase(dir: &str, seed: u64) -> Result<(), sailing::SailingError> {
         engine.analyze_owned(Arc::clone(snap));
         engine.flush_persist()?;
     }
-    let stats = engine.cache_stats();
+    let stats = engine.cache_stats().persist.expect("a store is attached");
     assert_eq!(
-        stats.disk_breaker,
+        stats.breaker,
         BreakerState::Closed,
         "the breaker must re-close once the disk recovers"
     );

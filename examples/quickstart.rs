@@ -165,9 +165,11 @@ fn main() -> Result<(), sailing::SailingError> {
         }
     }
     assert!(metrics.healthy);
+    let persist = metrics.cache.persist.unwrap_or_default();
     println!(
         "  disk retries: {}, breaker: {}",
-        metrics.disk_retries, metrics.breaker
+        persist.retries,
+        persist.breaker.as_str()
     );
     Ok(())
 }

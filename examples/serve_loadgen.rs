@@ -126,19 +126,19 @@ fn main() {
         "single-flight violated: {threads} concurrent admissions ran discovery {herd_runs} times"
     );
     assert_eq!(
-        metrics.cache_hits + metrics.cache_misses,
+        metrics.cache.hits + metrics.cache.misses,
         1 + threads as u64,
         "hits + misses must equal analysis requests"
     );
     assert_eq!(
-        metrics.cache_hits + metrics.inflight_waits,
+        metrics.cache.hits + metrics.cache.inflight_waits,
         threads as u64 - 1,
         "every non-leader must either wait in flight or hit the landed cache"
     );
     println!(
         "single-flight: {threads} concurrent admissions -> 1 discovery run \
          ({} waited in flight, {} hit the landed cache)\n",
-        metrics.inflight_waits, metrics.cache_hits,
+        metrics.cache.inflight_waits, metrics.cache.hits,
     );
 
     let total_queries = metrics.query_requests();
@@ -162,14 +162,15 @@ fn main() {
     }
     println!(
         "\ncache: hits {} / misses {} / inflight waits {}; epoch swaps {}",
-        metrics.cache_hits, metrics.cache_misses, metrics.inflight_waits, metrics.epoch_swaps
+        metrics.cache.hits, metrics.cache.misses, metrics.cache.inflight_waits, metrics.epoch_swaps
     );
     let persist_errors = handle.take_persist_write_errors();
+    let persist = metrics.cache.persist.unwrap_or_default();
     println!(
         "persist: writes {} / errors {} / dropped {} (retained error list: {})",
-        metrics.disk_writes,
-        metrics.disk_write_errors,
-        metrics.disk_dropped,
+        persist.writes,
+        persist.write_errors,
+        persist.dropped,
         persist_errors.len()
     );
     // Keep the fingerprints observable so the whole run stays honest.

@@ -127,6 +127,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use serde::Serialize;
+
+use sailing_core::pairs::balanced_chunks;
 use sailing_core::shard::{iteration_digest, shard_ranges, PairRange, PartialDependence};
 use sailing_core::truth::{DependenceMatrix, ValueProbabilities};
 use sailing_core::{
@@ -141,7 +144,7 @@ use sailing_model::{
     fx_mix, Delta, History, ObjectId, SailingError, SnapshotView, SourceId, Timestamp, ValueId,
 };
 use sailing_persist::{
-    BreakerState, CompactReport, PersistentStore, StoreFs, StoreKey, StoreOptions,
+    CompactReport, PersistStats, PersistentStore, StoreFs, StoreKey, StoreOptions,
 };
 use sailing_query::topk::{top_k_values_for_object, TopKResult};
 use sailing_query::{order_sources, OnlineSession, OrderingPolicy};
@@ -305,7 +308,8 @@ impl SailingEngineBuilder {
     /// the freshly computed result and return, and the store's writer
     /// thread drains the queue. [`SailingEngine::flush_persist`] becomes
     /// a drain barrier; write failures that happen after the analysis
-    /// returned surface through [`CacheStats::disk_write_errors`] and
+    /// returned surface through [`PersistStats::write_errors`] (under
+    /// [`CacheStats::persist`]) and
     /// [`SailingEngine::take_persist_write_errors`].
     ///
     /// ```
@@ -542,24 +546,22 @@ impl SailingEngine {
     }
 
     /// Hit/miss/occupancy counters of the snapshot-keyed analysis cache,
-    /// plus the persistent tier's disk counters when one is attached.
-    /// Shared by all clones of this engine.
+    /// with the persistent store's own [`PersistStats`] nested whole when
+    /// one is attached. Shared by all clones of this engine.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.cache.stats();
-        if let Some(store) = &self.persist {
-            let disk = store.stats();
-            stats.disk_hits = disk.disk_hits;
-            stats.disk_misses = disk.disk_misses;
-            stats.disk_writes = disk.writes;
-            stats.disk_write_errors = disk.write_errors;
-            stats.disk_dropped = disk.dropped;
-            stats.disk_retries = disk.retries;
-            stats.disk_breaker_fast_fails = disk.breaker_fast_fails;
-            stats.disk_breaker = store.breaker_state();
+        let cache = &self.cache;
+        CacheStats {
+            hits: cache.hits.load(Ordering::Relaxed),
+            misses: cache.misses.load(Ordering::Relaxed),
+            inflight_waits: cache.inflight_waits.load(Ordering::Relaxed),
+            entries: cache.entries.lock().expect("analysis cache poisoned").len(),
+            capacity: cache.capacity,
+            disk_hits: cache.disk_hits.load(Ordering::Relaxed),
+            disk_misses: cache.disk_misses.load(Ordering::Relaxed),
+            shard_runs: self.shard.runs.load(Ordering::Relaxed),
+            shard_partials_adopted: self.shard.adopted.load(Ordering::Relaxed),
+            persist: self.persist.as_deref().map(PersistentStore::stats),
         }
-        stats.shard_runs = self.shard.runs.load(Ordering::Relaxed);
-        stats.shard_partials_adopted = self.shard.adopted.load(Ordering::Relaxed);
-        stats
     }
 
     /// The attached persistent analysis store, when
@@ -592,7 +594,8 @@ impl SailingEngine {
     /// background or auto-flush failures that happened after the
     /// originating analysis had already returned. Empty when no store is
     /// attached or nothing failed; counts stay visible in
-    /// [`CacheStats::disk_write_errors`] either way.
+    /// [`PersistStats::write_errors`] (under [`CacheStats::persist`])
+    /// either way.
     ///
     /// ```
     /// use sailing::engine::SailingEngine;
@@ -989,7 +992,9 @@ impl SailingEngine {
             Admission::Served(snap, result) => (snap, result, true),
             Admission::Lead(guard) => {
                 if let Some(store) = self.persist.as_deref() {
-                    if let Some((snap, result)) = store.get(key.store_key(), snapshot.view()) {
+                    let disk = store.get(key.store_key(), snapshot.view());
+                    self.cache.note_disk_probe(disk.is_some());
+                    if let Some((snap, result)) = disk {
                         let (snap, result) = self.cache.insert_or_get(key, snap, result);
                         guard.complete(&snap, &result);
                         return (snap, result, true);
@@ -1031,7 +1036,9 @@ impl SailingEngine {
             self.cache.note_miss();
         }
         let store = self.persist.as_deref()?;
-        let (snap, result) = store.get(key.store_key(), snapshot)?;
+        let disk = store.get(key.store_key(), snapshot);
+        self.cache.note_disk_probe(disk.is_some());
+        let (snap, result) = disk?;
         Some(self.cache.insert_or_get(key, snap, result))
     }
 
@@ -1297,8 +1304,20 @@ impl Analysis {
     }
 }
 
-/// Hit/miss/occupancy counters of an engine's analysis cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Hit/miss/occupancy counters of an engine's analysis cache — the
+/// engine layer's one stats value. Every field is counted by the engine
+/// itself except [`CacheStats::persist`], which is the attached store's
+/// own [`PersistStats`], nested whole rather than copied field by field.
+///
+/// Two invariants hold by construction, at every sampling point:
+///
+/// * `hits + misses` equals the number of analysis requests;
+/// * with a store attached,
+///   `disk_hits + disk_misses + inflight_waits == misses` — the disk
+///   fields count the engine's own probes of the store, so a caller that
+///   reads through [`SailingEngine::persist_store`] directly moves
+///   `persist.disk_hits` but never these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Analyses served from the in-memory tier.
     pub hits: u64,
@@ -1320,35 +1339,13 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum retained results (`0` = in-memory caching disabled).
     pub capacity: usize,
-    /// In-memory misses served from the persistent store instead of a
-    /// discovery run (`0` when no store is attached).
+    /// In-memory misses this engine served from the persistent store
+    /// instead of a discovery run (`0` when no store is attached).
     pub disk_hits: u64,
-    /// In-memory misses the persistent store could not serve — exactly
-    /// the requests that ran the discovery loop, when a store is attached
-    /// (`0` when none is).
+    /// In-memory misses this engine probed the persistent store for and
+    /// found no usable entry — exactly the requests that went on to run
+    /// the discovery loop (`0` when no store is attached).
     pub disk_misses: u64,
-    /// Entries the persistent store has written to disk (on whichever
-    /// thread the store's write mode uses).
-    pub disk_writes: u64,
-    /// Store writes that failed at the filesystem level; the errors
-    /// themselves are retained for
-    /// [`SailingEngine::take_persist_write_errors`].
-    pub disk_write_errors: u64,
-    /// Entries evicted unwritten because the async write-behind queue
-    /// was full (see [`StoreOptions::queue_depth`]).
-    pub disk_dropped: u64,
-    /// Store write re-attempts after a transient filesystem failure (see
-    /// [`StoreOptions::retry`]); a successful retry keeps
-    /// [`CacheStats::disk_write_errors`] at zero.
-    pub disk_retries: u64,
-    /// Writes rejected without touching the filesystem because the
-    /// store's circuit breaker was open (see
-    /// [`StoreOptions::breaker`]).
-    pub disk_breaker_fast_fails: u64,
-    /// The store's circuit-breaker state at sampling time
-    /// ([`BreakerState::Closed`] when no store or no breaker is
-    /// configured).
-    pub disk_breaker: BreakerState,
     /// Pair-range detection passes [`SailingEngine::analyze_sharded`]
     /// computed locally (claimed ranges plus recomputed fallbacks).
     pub shard_runs: u64,
@@ -1357,6 +1354,13 @@ pub struct CacheStats {
     /// persistent store — threads-only fan-outs have no one to adopt
     /// from).
     pub shard_partials_adopted: u64,
+    /// The attached store's own counters — writes, write errors, queue
+    /// drops, retries, breaker fast-fails, rejected files, and the
+    /// breaker's phase ([`PersistStats::breaker`]) — or `None` without a
+    /// store. Its `disk_hits`/`disk_misses` count every read of the store
+    /// handle, including direct ones through
+    /// [`SailingEngine::persist_store`].
+    pub persist: Option<PersistStats>,
 }
 
 /// Cache key: the snapshot's content hash plus the provenance of the
@@ -1462,6 +1466,9 @@ struct AnalysisCache {
     hits: AtomicU64,
     misses: AtomicU64,
     inflight_waits: AtomicU64,
+    /// Outcomes of this cache's own probes of the persistent store.
+    disk_hits: AtomicU64,
+    disk_misses: AtomicU64,
     capacity: usize,
 }
 
@@ -1473,6 +1480,8 @@ impl AnalysisCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inflight_waits: AtomicU64::new(0),
+            disk_hits: AtomicU64::new(0),
+            disk_misses: AtomicU64::new(0),
             capacity,
         }
     }
@@ -1487,6 +1496,17 @@ impl AnalysisCache {
     /// `cache_stats()` an honest request counter either way.
     fn note_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records the outcome of one persistent-store probe made on behalf
+    /// of an in-memory miss.
+    fn note_disk_probe(&self, hit: bool) {
+        let counter = if hit {
+            &self.disk_hits
+        } else {
+            &self.disk_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Looks up a result, verifying the stored snapshot really equals the
@@ -1626,26 +1646,6 @@ impl AnalysisCache {
         *state = outcome;
         drop(state);
         flight.landed.notify_all();
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inflight_waits: self.inflight_waits.load(Ordering::Relaxed),
-            entries: self.entries.lock().expect("analysis cache poisoned").len(),
-            capacity: self.capacity,
-            disk_hits: 0,
-            disk_misses: 0,
-            disk_writes: 0,
-            disk_write_errors: 0,
-            disk_dropped: 0,
-            disk_retries: 0,
-            disk_breaker_fast_fails: 0,
-            disk_breaker: BreakerState::Closed,
-            shard_runs: 0,
-            shard_partials_adopted: 0,
-        }
     }
 }
 
@@ -1879,8 +1879,11 @@ impl TimelineSession {
         }
         // LPT over assertion counts: discovery cost scales with snapshot
         // size, and equal-length contiguous chunks would let one fat chunk
-        // serialize the scope.
-        let chunks = balanced_epoch_chunks(&pending, threads);
+        // serialize the scope. Iteration cost is per-assertion per-round;
+        // +1 keeps empty snapshots from all landing in one bucket.
+        let chunks = balanced_chunks(&pending, threads, |(_, snapshot)| {
+            snapshot.num_assertions() + 1
+        });
         let strategy = Arc::clone(&self.engine.strategy);
         let results = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
@@ -1992,29 +1995,6 @@ impl TimelineSession {
             temporal: Arc::clone(&self.temporal),
         })
     }
-}
-
-/// Greedy LPT assignment of epochs to at most `threads` buckets, weighted
-/// by snapshot assertion count: sort descending, place each epoch in the
-/// currently lightest bucket.
-fn balanced_epoch_chunks(
-    pending: &[(Timestamp, Arc<SnapshotView>)],
-    threads: usize,
-) -> Vec<Vec<(Timestamp, Arc<SnapshotView>)>> {
-    let buckets = threads.min(pending.len()).max(1);
-    let mut order: Vec<usize> = (0..pending.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(pending[i].1.num_assertions()));
-    let mut chunks: Vec<Vec<(Timestamp, Arc<SnapshotView>)>> = vec![Vec::new(); buckets];
-    let mut loads = vec![0usize; buckets];
-    for i in order {
-        let lightest = (0..buckets).min_by_key(|&b| loads[b]).expect("buckets > 0");
-        // Iteration cost is per-assertion per-round; +1 keeps empty
-        // snapshots from all landing in one bucket.
-        loads[lightest] += pending[i].1.num_assertions() + 1;
-        chunks[lightest].push((pending[i].0, Arc::clone(&pending[i].1)));
-    }
-    chunks.retain(|c| !c.is_empty());
-    chunks
 }
 
 impl Iterator for TimelineSession {
@@ -2137,11 +2117,13 @@ pub const DEFAULT_MAX_DIRTY_FRACTION: f64 = 0.25;
 /// Running counters for a streaming [`IngestSession`]: how many events
 /// and epochs flowed through, how often the incremental path held versus
 /// fell back to a full re-analysis, and how much discovery work was spent.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct IngestStats {
-    /// Claim events appended through this session.
+    /// Claim events resident in the session's claim log (recovered plus
+    /// appended) — [`ClaimLog::len`].
     pub events: u64,
-    /// Delta epochs sealed and analyzed.
+    /// Delta epochs sealed and analyzed — the log's own
+    /// [`IngestLogStats::deltas_sealed`].
     pub deltas_sealed: u64,
     /// Epochs served by the incremental path
     /// ([`DeltaOutcome::Incremental`]).
@@ -2187,6 +2169,8 @@ pub struct IngestSession {
     max_dirty_fraction: f64,
     snapshot: Arc<SnapshotView>,
     last: Arc<PipelineResult>,
+    /// The counters only the session knows; `events` and
+    /// `deltas_sealed` stay zero here and are read from `log`.
     stats: IngestStats,
     /// Process-unique identity, so downstream consumers folding stats
     /// from several sessions (see `sailing-serve`'s metrics) can track
@@ -2258,7 +2242,6 @@ impl IngestSession {
             // those events as a delta, so folding it here too would
             // apply them twice: a spurious dirty-closure re-analysis and
             // double-counted epoch stats.
-            session.stats.events = session.log.len() as u64;
             if session.log.sealed_len() > 0 {
                 let bootstrap = session.log.replay_sealed_delta();
                 session.snapshot = Arc::new(session.snapshot.apply_delta(&bootstrap));
@@ -2330,7 +2313,6 @@ impl IngestSession {
         ts: Timestamp,
     ) -> u64 {
         let seq = self.log.append(source, object, value, provenance, ts);
-        self.stats.events += 1;
         if let Some(delta) = self.log.poll_seal() {
             self.advance(&delta);
         }
@@ -2350,7 +2332,6 @@ impl IngestSession {
     }
 
     fn advance(&mut self, delta: &Delta) {
-        self.stats.deltas_sealed += 1;
         let next = Arc::new(self.snapshot.apply_delta(delta));
         let run = match &mut self.equiv {
             None => self.engine.strategy.run_delta(
@@ -2437,9 +2418,14 @@ impl IngestSession {
         Arc::clone(&self.snapshot)
     }
 
-    /// Running session counters.
+    /// Running session counters. Event and seal counts are read from the
+    /// claim log, which already counts them.
     pub fn stats(&self) -> IngestStats {
-        self.stats
+        IngestStats {
+            events: self.log.len() as u64,
+            deltas_sealed: self.log.stats().deltas_sealed,
+            ..self.stats
+        }
     }
 
     /// This session's process-unique identity (monotonic, never reused).
@@ -2471,7 +2457,7 @@ impl std::fmt::Debug for IngestSession {
         f.debug_struct("IngestSession")
             .field("max_dirty_fraction", &self.max_dirty_fraction)
             .field("open_events", &self.log.open_events().len())
-            .field("stats", &self.stats)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }

@@ -210,10 +210,11 @@
 //! * **Persistence** — transient filesystem failures are retried with
 //!   bounded exponential backoff ([`persist::StoreOptions::retry`] via
 //!   [`persist_options`](SailingEngineBuilder::persist_options), visible
-//!   as [`CacheStats::disk_retries`]); persistent failure trips a circuit
-//!   breaker ([`persist::StoreOptions::breaker`]) that fast-fails writes
-//!   without touching the disk until a cooldown passes and a half-open
-//!   probe succeeds ([`CacheStats::disk_breaker`]). A failed or refused write is never
+//!   as [`persist::PersistStats::retries`] under [`CacheStats::persist`]);
+//!   persistent failure trips a circuit breaker
+//!   ([`persist::StoreOptions::breaker`]) that fast-fails writes without
+//!   touching the disk until a cooldown passes and a half-open probe
+//!   succeeds ([`persist::PersistStats::breaker`]). A failed or refused write is never
 //!   an analysis error — just a future cold miss. Damaged or torn store
 //!   files are rejected by checksum on read and degrade to cold misses.
 //!   Fault paths are testable deterministically by routing the store
@@ -229,6 +230,16 @@
 //!   watchdog-stopped analyses: readers keep answering from the last
 //!   good epoch (stale-while-revalidate) while its `Health` reports the
 //!   degradation and its cause.
+//!
+//! ## One stats surface, by composition
+//!
+//! Each layer owns exactly one typed stats value and the layer above
+//! nests it whole: the store's [`persist::PersistStats`] (with its
+//! breaker phase) sits in [`CacheStats::persist`], and `sailing-serve`'s
+//! `MetricsSnapshot` holds the engine's [`CacheStats`] and the folded
+//! [`IngestStats`] as its `cache` and `ingest` fields. No layer re-declares
+//! another's counters, so a counter added to one layer reaches the
+//! serve snapshot (and its JSON) without a copy to keep in step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -16,9 +16,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sailing::engine::SailingEngine;
-use sailing::model::{ObjectId, SnapshotView, SourceId, ValueId};
-use sailing::persist::StoreOptions;
+use sailing::engine::{CacheStats, SailingEngine};
+use sailing::model::{fixtures, ObjectId, SnapshotView, SourceId, ValueId};
+use sailing::persist::{StoreKey, StoreOptions};
 
 /// Distinct small snapshots, one per value seed.
 fn snapshots(n: u32) -> Vec<Arc<SnapshotView>> {
@@ -167,8 +167,9 @@ fn async_two_tier_counters_and_writer_thread_isolation() {
         stats.misses,
         "{stats:?}"
     );
-    assert_eq!((stats.disk_write_errors, stats.disk_dropped), (0, 0));
-    assert!(stats.disk_writes >= snaps.len() as u64, "{stats:?}");
+    let persist = stats.persist.unwrap();
+    assert_eq!((persist.write_errors, persist.dropped), (0, 0));
+    assert!(persist.writes >= snaps.len() as u64, "{stats:?}");
     assert!(engine.take_persist_write_errors().is_empty());
 
     // Thread isolation: `hammer` analyzed from worker threads and this
@@ -301,4 +302,83 @@ fn concurrent_misses_on_one_key_run_discovery_exactly_once() {
         "{stats:?}"
     );
     assert!(stats.inflight_waits >= 1, "someone must have waited");
+}
+
+/// Both invariants hold after every kind of traffic, sampled between
+/// phases: memory hits, disk hits from a second engine, a direct read
+/// through the engine's store handle (which moves the store's own
+/// counters, never the engine's), a batched timeline prefetch, and an
+/// engine whose memory tier is disabled.
+#[test]
+fn tier_invariants_hold_on_every_path() {
+    fn check(engine: &SailingEngine, requests: u64, phase: &str) -> CacheStats {
+        let stats = engine.cache_stats();
+        assert_eq!(stats.hits + stats.misses, requests, "{phase}: {stats:?}");
+        assert_eq!(
+            stats.disk_hits + stats.disk_misses + stats.inflight_waits,
+            stats.misses,
+            "{phase}: {stats:?}"
+        );
+        stats
+    }
+    let dir = std::env::temp_dir().join(format!("sailing-cache-invariants-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let snaps = snapshots(3);
+    let n = snaps.len() as u64;
+
+    // Memory hits: one cold pass, then the same snapshots again.
+    let first = SailingEngine::builder().persist_dir(&dir).build().unwrap();
+    for _ in 0..2 {
+        for snap in &snaps {
+            first.analyze_owned(Arc::clone(snap));
+        }
+    }
+    let stats = check(&first, 2 * n, "memory hits");
+    assert_eq!((stats.hits, stats.disk_misses), (n, n), "{stats:?}");
+    first.flush_persist().unwrap();
+
+    // Disk hits: a second engine over the same directory.
+    let second = SailingEngine::builder().persist_dir(&dir).build().unwrap();
+    for snap in &snaps {
+        second.analyze_owned(Arc::clone(snap));
+    }
+    let stats = check(&second, n, "disk hits");
+    assert_eq!(stats.disk_hits, n, "{stats:?}");
+
+    // A direct read through the engine's store handle.
+    let store = second.persist_store().unwrap();
+    let key = StoreKey::cold(snaps[0].content_hash());
+    assert!(store.get(key, &snaps[0]).is_some());
+    let stats = check(&second, n, "a direct store read");
+    assert_eq!(stats.disk_hits, n, "the engine did not probe: {stats:?}");
+    assert_eq!(
+        stats.persist.unwrap().disk_hits,
+        n + 1,
+        "the store counts every read of its handle: {stats:?}"
+    );
+
+    // A batched timeline: every epoch is probed once, then computed in
+    // parallel; the walk consumes the batch without further requests.
+    let (_, history, _) = fixtures::table3();
+    let epochs = history.change_points().count() as u64;
+    let mut session = second.timeline(history);
+    session.prefetch_cold(2);
+    assert_eq!(session.count() as u64, epochs);
+    let stats = check(&second, n + epochs, "prefetch_cold");
+    assert_eq!(stats.disk_misses, epochs, "{stats:?}");
+
+    // Memory tier disabled: every request goes to the store.
+    let uncached = SailingEngine::builder()
+        .cache_capacity(0)
+        .persist_dir(&dir)
+        .build()
+        .unwrap();
+    for _ in 0..2 {
+        for snap in &snaps {
+            uncached.analyze_owned(Arc::clone(snap));
+        }
+    }
+    let stats = check(&uncached, 2 * n, "cache_capacity(0)");
+    assert_eq!((stats.hits, stats.disk_hits), (0, 2 * n), "{stats:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -36,7 +36,7 @@ fn world(seed: u64) -> Arc<SnapshotView> {
 
 /// Scenario (a): one transient write failure, absorbed by retry — the
 /// entry lands on disk, no error is ever user-visible, and the only
-/// trace is the `disk_retries` counter.
+/// trace is the store's `retries` counter.
 #[test]
 fn transient_write_failure_is_absorbed_by_retry() {
     let dir = chaos_dir("retry");
@@ -57,13 +57,9 @@ fn transient_write_failure_is_absorbed_by_retry() {
         engine.take_persist_write_errors().is_empty(),
         "a retried-to-success write must surface no error"
     );
-    let stats = engine.cache_stats();
+    let stats = engine.cache_stats().persist.unwrap();
     assert_eq!(
-        (
-            stats.disk_writes,
-            stats.disk_write_errors,
-            stats.disk_retries
-        ),
+        (stats.writes, stats.write_errors, stats.retries),
         (1, 0, 1),
         "one entry written, zero errors, exactly one re-attempt"
     );
@@ -101,19 +97,28 @@ fn breaker_cycles_open_half_open_closed_under_persistent_failure() {
     // Two exhausted-retry failures (2 attempts each) trip the breaker.
     engine.analyze_owned(world(21));
     assert!(engine.flush_persist().is_err());
-    assert_eq!(engine.cache_stats().disk_breaker, BreakerState::Closed);
+    assert_eq!(
+        engine.cache_stats().persist.unwrap().breaker,
+        BreakerState::Closed
+    );
     engine.analyze_owned(world(22));
     assert!(engine.flush_persist().is_err());
-    assert_eq!(engine.cache_stats().disk_breaker, BreakerState::Open);
+    assert_eq!(
+        engine.cache_stats().persist.unwrap().breaker,
+        BreakerState::Open
+    );
 
     // Zero cooldown: the next analysis is admitted as the single
     // half-open probe; the one after that is fast-failed without a
     // single filesystem operation.
     let writes_before_fast_fail = plan.writes_seen();
     engine.analyze_owned(world(23));
-    assert_eq!(engine.cache_stats().disk_breaker, BreakerState::HalfOpen);
+    assert_eq!(
+        engine.cache_stats().persist.unwrap().breaker,
+        BreakerState::HalfOpen
+    );
     engine.analyze_owned(world(24));
-    assert_eq!(engine.cache_stats().disk_breaker_fast_fails, 1);
+    assert_eq!(engine.cache_stats().persist.unwrap().breaker_fast_fails, 1);
     assert_eq!(
         plan.writes_seen(),
         writes_before_fast_fail,
@@ -124,19 +129,19 @@ fn breaker_cycles_open_half_open_closed_under_persistent_failure() {
     // breaker, after which writes flow normally again.
     plan.heal();
     assert_eq!(engine.flush_persist().unwrap(), 1);
-    assert_eq!(engine.cache_stats().disk_breaker, BreakerState::Closed);
+    assert_eq!(
+        engine.cache_stats().persist.unwrap().breaker,
+        BreakerState::Closed
+    );
     engine.analyze_owned(world(25));
     assert_eq!(engine.flush_persist().unwrap(), 1);
 
-    let stats = engine.cache_stats();
-    assert_eq!(
-        stats.disk_writes, 2,
-        "the probe and the post-recovery write"
-    );
-    assert_eq!(stats.disk_write_errors, 2, "one per exhausted-retry entry");
-    assert_eq!(stats.disk_retries, 2, "one re-attempt per failed entry");
-    assert_eq!(stats.disk_breaker_fast_fails, 1);
-    assert_eq!(stats.disk_dropped, 0);
+    let stats = engine.cache_stats().persist.unwrap();
+    assert_eq!(stats.writes, 2, "the probe and the post-recovery write");
+    assert_eq!(stats.write_errors, 2, "one per exhausted-retry entry");
+    assert_eq!(stats.retries, 2, "one re-attempt per failed entry");
+    assert_eq!(stats.breaker_fast_fails, 1);
+    assert_eq!(stats.dropped, 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -366,10 +371,10 @@ fn seeded_plan_end_to_end() {
         engine.analyze_owned(Arc::clone(snap));
         engine.flush_persist().unwrap();
     }
-    let after = engine.cache_stats();
-    assert_eq!(after.disk_breaker, BreakerState::Closed);
+    let after = engine.cache_stats().persist.unwrap();
+    assert_eq!(after.breaker, BreakerState::Closed);
     assert!(
-        after.disk_writes >= worlds.len() as u64,
+        after.writes >= worlds.len() as u64,
         "every entry eventually lands: {after:?}"
     );
 

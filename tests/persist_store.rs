@@ -325,11 +325,11 @@ fn async_persist_keeps_the_analysis_thread_syscall_free() {
         );
     }
     assert_eq!(writers.len(), 1, "exactly the writer thread: {writers:?}");
-    let stats = engine.cache_stats();
+    let stats = engine.cache_stats().persist.unwrap();
     // Racing first-misses may legitimately compute (and enqueue) one
     // snapshot more than once; every computed result was written.
-    assert!(stats.disk_writes >= snaps.len() as u64, "{stats:?}");
-    assert_eq!((stats.disk_write_errors, stats.disk_dropped), (0, 0));
+    assert!(stats.writes >= snaps.len() as u64, "{stats:?}");
+    assert_eq!((stats.write_errors, stats.dropped), (0, 0));
     assert!(engine.take_persist_write_errors().is_empty());
 
     // A second engine (the second process) serves everything from disk.

@@ -6,13 +6,18 @@
 //! pointer-identical to one of the admitted epochs, with its snapshot and
 //! pipeline result never mixed across epochs — and every counter stays
 //! coherent (`hits + misses` equals the number of analysis requests,
-//! `generation` equals the number of epoch swaps).
+//! `generation` equals the number of epoch swaps). The metrics snapshot
+//! also carries every lower layer's counters, nested whole.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use sailing::datagen::{SnapshotWorld, WorldConfig};
+use sailing::core::{DeltaOutcome, DetectionParams};
+use sailing::datagen::{ChurnConfig, ChurnWorld, SnapshotWorld, WorldConfig};
 use sailing::engine::SailingEngine;
+use sailing::ingest::SealPolicy;
+use sailing::model::{fixtures, SnapshotView, SourceId};
+use sailing::persist::StoreKey;
 use sailing_serve::{Endpoint, ServeHandle, Workload};
 
 #[test]
@@ -103,7 +108,7 @@ fn readers_stay_consistent_while_the_epoch_swaps() {
     // Analysis requests: the constructor's, epoch B's, and the writer's.
     let requests = 2 + writer_admits;
     assert_eq!(
-        metrics.cache_hits + metrics.cache_misses,
+        metrics.cache.hits + metrics.cache.misses,
         requests,
         "hits + misses must equal analysis requests"
     );
@@ -120,9 +125,9 @@ fn readers_stay_consistent_while_the_epoch_swaps() {
         metrics.epoch_swaps >= 2 + writer_admits,
         "every toggling admission must swap the epoch"
     );
-    // No persistent store attached: the deferred-error channel is empty.
-    assert_eq!(metrics.disk_write_errors, 0);
-    assert_eq!(metrics.disk_dropped, 0);
+    // No persistent store attached: no persist stats, and the
+    // deferred-error channel is empty.
+    assert_eq!(metrics.cache.persist, None);
     assert!(handle.take_persist_write_errors().is_empty());
 
     // Latency accounting: the hammered endpoint has sane quantiles.
@@ -150,4 +155,76 @@ fn a_fresh_reader_joins_mid_stream_at_the_current_epoch() {
     assert!(Arc::ptr_eq(late.current(), &published));
     assert!(Arc::ptr_eq(early.current(), &published));
     assert_eq!(early.seen_generation(), 2);
+}
+
+/// A damaged store entry served through a handle shows up as the store's
+/// `rejected` count in the serve metrics.
+#[test]
+fn metrics_report_a_rejected_store_entry() {
+    let dir = std::env::temp_dir().join(format!("sailing-serve-rejected-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = Arc::new(fixtures::table1().0.snapshot());
+    let key = StoreKey::cold(snapshot.content_hash());
+    std::fs::write(dir.join(key.file_name()), b"not a store entry at all\n{}").unwrap();
+
+    let engine = SailingEngine::builder().persist_dir(&dir).build().unwrap();
+    let handle = ServeHandle::new(engine, snapshot);
+    let metrics = handle.metrics();
+    let persist = metrics.cache.persist.unwrap();
+    assert_eq!(persist.rejected, 1, "{metrics:?}");
+    assert_eq!(metrics.cache.disk_misses, 1, "{metrics:?}");
+    let json = serde_json::to_string(&metrics).unwrap();
+    assert!(json.contains("\"rejected\":1"), "{json}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After an incremental ingest epoch the serve metrics carry the
+/// session's last outcome and dirty closure, not just its totals.
+#[test]
+fn metrics_report_the_last_ingest_outcome() {
+    let world = ChurnWorld::generate(&ChurnConfig::streaming(10, 3, 12, 2, 1));
+    let engine = SailingEngine::builder()
+        .params(DetectionParams {
+            hard_damping_threshold: 1.0,
+            convergence_epsilon: 1e-12,
+            max_iterations: 2000,
+            ..DetectionParams::default()
+        })
+        .build()
+        .unwrap();
+    let handle = ServeHandle::new(
+        engine.clone(),
+        Arc::new(SnapshotView::from_triples(0, 0, Vec::new())),
+    );
+    let mut session = engine
+        .ingest_session(SealPolicy::manual())
+        .with_max_dirty_fraction(0.15);
+    for s in 0..world.initial.num_sources() {
+        let source = SourceId::from_index(s);
+        for &(object, value) in world.initial.source_assertions(source) {
+            session.assert_claim(source, object, value, 0, 0);
+        }
+    }
+    assert!(session.seal());
+    handle.publish_ingest(&session);
+    for &(s, o, v) in world.deltas[0].ops() {
+        session.append(s, o, v, 0, 1);
+    }
+    assert!(session.seal());
+    handle.publish_ingest(&session);
+
+    let ingest = handle.metrics().ingest;
+    assert_eq!(
+        ingest.last_outcome,
+        Some(DeltaOutcome::Incremental),
+        "{ingest:?}"
+    );
+    assert!(ingest.dirty_sources_last > 0, "{ingest:?}");
+    assert!(ingest.dirty_objects_total > 0, "{ingest:?}");
+    assert_eq!(
+        ingest,
+        session.stats(),
+        "one session folds to its own stats"
+    );
 }
