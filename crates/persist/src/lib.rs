@@ -15,32 +15,40 @@
 //!
 //! # Write modes
 //!
-//! A store opened with [`PersistentStore::open`] is **write-behind,
-//! synchronous**: `put` buffers, and the buffer reaches disk on
-//! [`PersistentStore::flush`] (run automatically every few writes and on
-//! drop) — the historical behaviour, where a hot analysis loop
-//! occasionally pays a filesystem batch.
+//! Both modes queue entries in one write-behind buffer and empty it
+//! through **one drain barrier**; they differ only in who does the
+//! writing.
 //!
-//! A store opened with [`StoreOptions::async_writer`] instead owns a
-//! **background writer thread**: `put` enqueues onto a bounded in-memory
-//! queue and returns **without any filesystem syscall**; the writer
-//! drains batches with the same atomic temp-file+rename discipline.
-//! Entries stay visible to [`PersistentStore::get`] from the moment
-//! `put` returns until they are durably renamed, so there is no window
-//! in which a just-put analysis reads as a miss. [`PersistentStore::flush`]
-//! is then a **drain barrier**: it returns once every entry enqueued
-//! before the call has been written (or failed). Dropping the last
-//! handle drains with a deadline ([`SHUTDOWN_DRAIN_DEADLINE`]); a
-//! filesystem that hangs past the deadline gets the writer detached
-//! rather than the process wedged — unwritten entries are caches of
-//! recomputable work.
+//! * A store opened with [`PersistentStore::open`] is **synchronous**:
+//!   the barrier writes the buffer on the calling thread. It runs on
+//!   [`PersistentStore::flush`], automatically every few `put`s, before
+//!   [`PersistentStore::compact`] sweeps, and on drop — a hot analysis
+//!   loop occasionally pays a filesystem batch.
+//! * A store opened with [`StoreOptions::async_writer`] owns a
+//!   **background writer thread**: `put` enqueues onto a bounded
+//!   in-memory queue and returns **without any filesystem syscall**, and
+//!   the writer runs the same batch step the barrier would. The barrier
+//!   then only waits for the writer. Dropping the last handle waits with
+//!   a deadline ([`SHUTDOWN_DRAIN_DEADLINE`]); a filesystem that hangs
+//!   past it gets the writer detached rather than the process wedged —
+//!   unwritten entries are caches of recomputable work.
 //!
-//! **Deferred errors are never silently lost.** A write that fails on
-//! the background thread (after its `put` already returned) is counted
-//! in [`PersistStats::write_errors`], retained as a
-//! [`SailingError::PersistDeferred`] for
-//! [`PersistentStore::take_write_errors`], and the first one pending is
-//! returned by the next `flush()`:
+//! In both modes an entry stays visible to [`PersistentStore::get`] from
+//! the moment `put` returns until it is durably renamed into place from
+//! its unique temp file, so a just-put analysis never reads as a miss,
+//! not even while its write is in flight. [`PersistentStore::flush`] returns
+//! once every entry queued before the call has been written (or failed),
+//! whichever thread wrote it; two concurrent flushes never write one
+//! batch twice — the later one waits for the batch in flight.
+//!
+//! **Deferred errors are never silently lost.** Every failed write is
+//! counted in [`PersistStats::write_errors`]. A failure no caller is
+//! waiting for (a background write, an automatic flush, the drain before
+//! a compaction) is retained as a [`SailingError::PersistDeferred`] for
+//! [`PersistentStore::take_write_errors`]. `flush()` has one contract in
+//! both modes: it returns the first failure of a batch it wrote itself,
+//! otherwise the oldest deferred failure, otherwise the number of entries
+//! written during the call:
 //!
 //! ```
 //! use sailing_persist::{PersistentStore, StoreOptions};
@@ -353,9 +361,10 @@ impl StoreKey {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreOptions {
     /// `true` spawns a background writer thread owned by the store:
-    /// [`PersistentStore::put`] becomes a syscall-free enqueue and
-    /// [`PersistentStore::flush`] a drain barrier. `false` (the default)
-    /// keeps the historical synchronous write-behind buffer.
+    /// [`PersistentStore::put`] becomes a syscall-free enqueue, and the
+    /// drain barrier ([`PersistentStore::flush`]) waits for that thread.
+    /// `false` (the default) runs the same barrier on the calling
+    /// thread.
     pub async_writer: bool,
     /// Bound of the async queue, in entries. When the queue is full the
     /// **oldest unwritten** entry is evicted (counted in
@@ -578,17 +587,18 @@ struct SeqEntry {
 /// Mutable queue state shared between callers and the writer thread.
 struct QueueState {
     /// Entries visible to `get` and not yet durably renamed. Ascending
-    /// `seq` order (puts append; the writer removes written prefixes).
+    /// `seq` order (puts append; a drain step removes what it wrote).
     pending: Vec<SeqEntry>,
     /// Next sequence number a `put` will take (first is 1).
     next_seq: u64,
     /// Every entry with `seq <= drained_through` has left the queue —
     /// written, failed, or evicted.
     drained_through: u64,
-    /// Highest seq the writer thread has snapshotted into its in-flight
-    /// batch. Queue-full eviction must skip claimed entries: they are
-    /// being written right now, so "evicting" one would count it both
-    /// written and dropped (and free no memory — the writer holds a
+    /// Highest seq a drain step has claimed for writing. While
+    /// `claimed_through > drained_through` a batch is in flight: a
+    /// barrier waits for it instead of writing it twice, and queue-full
+    /// eviction skips its entries (evicting one would count it both
+    /// written and dropped, and free no memory — the batch holds a
     /// clone).
     claimed_through: u64,
     /// Set once by the dropping handle; the writer drains and exits.
@@ -607,7 +617,7 @@ struct StoreInner {
     state: Mutex<QueueState>,
     /// Wakes the writer thread: new work or shutdown.
     work_cv: Condvar,
-    /// Wakes drain barriers (`flush`, drop) after each writer batch.
+    /// Wakes drain barriers after each batch and when the writer exits.
     drain_cv: Condvar,
     breaker: Mutex<Breaker>,
     disk_hits: AtomicU64,
@@ -684,7 +694,7 @@ impl StoreInner {
         }
     }
 
-    /// Writes one entry (unique temp file + atomic rename), recording the
+    /// Writes one entry through [`StoreInner::publish`], recording the
     /// calling thread in the syscall-proof hook.
     fn write_entry(&self, e: &PendingEntry) -> Result<(), SailingError> {
         {
@@ -694,24 +704,33 @@ impl StoreInner {
                 threads.push(id);
             }
         }
+        self.publish(
+            &e.key.file_name(),
+            &encode_entry(e.key, &e.snapshot, &e.result),
+        )
+    }
+
+    /// The one atomic publish, for entries and blobs alike: writes
+    /// `bytes` to a unique temp file next to the named file's final path
+    /// (same shard, so the rename never crosses directories), then
+    /// renames it into place. A reader sees the previous file or the
+    /// complete new one, never a torn write; a failed rename removes its
+    /// temp file.
+    fn publish(&self, file_name: &str, bytes: &[u8]) -> Result<(), SailingError> {
         // The temp name must be unique per *write*, not just per process:
-        // two in-process flushes can race on one key (an explicit flush
-        // against a put-triggered auto-flush, or two engines sharing a
-        // dir), and a shared temp path would let one write truncate the
-        // other mid-stream and publish a torn entry.
+        // two in-process writers can race on one name (two handles
+        // sharing a dir, two publishers of one blob), and a shared temp
+        // path would let one write truncate the other mid-stream and
+        // publish a torn file.
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let final_path = self.file_path(&e.key.file_name());
-        // The temp file lives next to its final path (same shard), so the
-        // publishing rename never crosses directories.
+        let final_path = self.file_path(file_name);
         let tmp_path = final_path.with_file_name(format!(
-            "{}.tmp-{}-{}",
-            e.key.file_name(),
+            "{file_name}.tmp-{}-{}",
             std::process::id(),
             WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let bytes = encode_entry(e.key, &e.snapshot, &e.result);
         self.fs
-            .write(&tmp_path, &bytes)
+            .write(&tmp_path, bytes)
             .map_err(|err| SailingError::persist(tmp_path.display().to_string(), err))?;
         self.fs.rename(&tmp_path, &final_path).map_err(|err| {
             let _ = self.fs.remove_file(&tmp_path);
@@ -721,8 +740,8 @@ impl StoreInner {
 
     /// [`StoreInner::write_entry`] plus the resilience policies: bounded
     /// exponential-backoff retry, then a breaker transition on the final
-    /// outcome. Every write path (writer thread, inline flush,
-    /// auto-flush) funnels through here so the policies apply uniformly.
+    /// outcome. [`StoreInner::write_claimed`] writes every queued entry
+    /// through here, so the policies apply uniformly.
     fn write_entry_resilient(&self, e: &PendingEntry) -> Result<(), SailingError> {
         let max_attempts = self.options.retry_max_attempts.max(1);
         let mut attempt = 0u32;
@@ -801,79 +820,112 @@ impl StoreInner {
         }
     }
 
-    /// Writes a batch inline on the current thread, counting successes and
-    /// failures. Returns the number written and the first error, which the
-    /// caller either returns (explicit `flush`) or defers (auto-flush,
-    /// writer thread).
-    fn write_batch(&self, batch: &[PendingEntry]) -> (usize, Option<SailingError>) {
-        let mut written = 0usize;
+    /// The one batch step that writes queued entries. It claims every
+    /// pending entry with `seq <= target` and writes them with the lock
+    /// released while they stay in `pending`, so `get` keeps serving them
+    /// until they are renamed. It then defers the failures and only after
+    /// that removes the batch and advances the drain watermark to
+    /// `target`: a barrier woken by the watermark always finds the
+    /// batch's failures already deferred. With `defer_all` every failure
+    /// is deferred; otherwise the first is returned to the calling
+    /// barrier. The caller ensures no other batch is in flight.
+    fn write_claimed<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, QueueState>,
+        target: u64,
+        defer_all: bool,
+    ) -> (MutexGuard<'a, QueueState>, Option<SailingError>) {
+        st.claimed_through = target;
+        let batch: Vec<PendingEntry> = st
+            .pending
+            .iter()
+            .take_while(|p| p.seq <= target)
+            .map(|p| p.entry.clone())
+            .collect();
+        drop(st);
         let mut first_error = None;
-        for e in batch {
+        for e in &batch {
             match self.write_entry_resilient(e) {
                 Ok(()) => {
-                    written += 1;
                     self.writes.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(err) => {
                     self.write_errors.fetch_add(1, Ordering::Relaxed);
-                    if first_error.is_none() {
-                        first_error = Some(err);
-                    } else {
+                    if defer_all || first_error.is_some() {
                         self.push_deferred(err.into_deferred());
+                    } else {
+                        first_error = Some(err);
                     }
                 }
             }
         }
-        (written, first_error)
+        let mut st = self.lock_state();
+        // Every pending seq <= target was in the batch (puts append larger
+        // seqs; dedupe and eviction only remove), so that range is
+        // exactly what was written.
+        st.pending.retain(|p| p.seq > target);
+        st.drained_through = target;
+        self.drain_cv.notify_all();
+        (st, first_error)
     }
 
-    /// The background writer: repeatedly snapshots the whole pending
-    /// queue, writes it while the entries stay `get`-visible, then removes
-    /// the written prefix and advances the drain watermark.
-    fn writer_loop(self: &Arc<Self>) {
-        loop {
-            let batch: Vec<SeqEntry> = {
-                let mut st = self.lock_state();
-                while st.pending.is_empty() && !st.shutdown {
-                    st = recover(self.work_cv.wait(st));
-                }
-                if st.pending.is_empty() {
-                    break; // shutdown with nothing left to drain
-                }
-                let batch: Vec<SeqEntry> = st
-                    .pending
-                    .iter()
-                    .map(|p| SeqEntry {
-                        seq: p.seq,
-                        entry: p.entry.clone(),
-                    })
-                    .collect();
-                st.claimed_through = batch.last().map_or(st.claimed_through, |p| p.seq);
-                batch
-            };
-            let max_seq = batch.last().map_or(0, |p| p.seq);
-            for e in &batch {
-                match self.write_entry_resilient(&e.entry) {
-                    Ok(()) => {
-                        self.writes.fetch_add(1, Ordering::Relaxed);
+    /// The one drain barrier: returns once every entry queued before the
+    /// call has left the queue — written, failed, or evicted. While a
+    /// writer thread is alive, or another caller's batch is in flight, it
+    /// waits for them; otherwise it writes the rest itself through
+    /// [`StoreInner::write_claimed`], which is all a synchronous store
+    /// ever does. `Some(Err)` carries the first failure of a batch this
+    /// call wrote (never with `defer_all`); `None` means `deadline`
+    /// passed first.
+    fn drain(
+        &self,
+        deadline: Option<Instant>,
+        defer_all: bool,
+    ) -> Option<Result<(), SailingError>> {
+        let mut st = self.lock_state();
+        let target = st.next_seq - 1;
+        let mut first_error = None;
+        while st.drained_through < target {
+            if st.writer_alive || st.claimed_through > st.drained_through {
+                st = match deadline {
+                    None => recover(self.drain_cv.wait(st)),
+                    Some(deadline) => {
+                        let remaining = deadline.saturating_duration_since(Instant::now());
+                        if remaining.is_zero() {
+                            return None;
+                        }
+                        self.drain_cv
+                            .wait_timeout(st, remaining)
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .0
                     }
-                    Err(err) => {
-                        self.write_errors.fetch_add(1, Ordering::Relaxed);
-                        self.push_deferred(err.into_deferred());
-                    }
-                }
+                };
+            } else {
+                let (guard, err) = self.write_claimed(st, target, defer_all);
+                st = guard;
+                first_error = err;
             }
-            {
-                // Every pending seq <= max_seq was in the batch (puts only
-                // append with larger seqs; dedupe only removes), so the
-                // written prefix is exactly that range.
-                let mut st = self.lock_state();
-                st.pending.retain(|p| p.seq > max_seq);
-                st.drained_through = st.drained_through.max(max_seq);
-            }
-            self.drain_cv.notify_all();
         }
-        self.lock_state().writer_alive = false;
+        Some(first_error.map_or(Ok(()), Err))
+    }
+
+    /// The background writer: waits for queued work or shutdown, then
+    /// runs the batch step over everything queued so far. Every failure
+    /// is deferred — its `put` has already returned.
+    fn writer_loop(self: &Arc<Self>) {
+        let mut st = self.lock_state();
+        loop {
+            while st.pending.is_empty() && !st.shutdown {
+                st = recover(self.work_cv.wait(st));
+            }
+            if st.pending.is_empty() {
+                break; // shutdown with nothing left to drain
+            }
+            let target = st.next_seq - 1;
+            st = self.write_claimed(st, target, true).0;
+        }
+        st.writer_alive = false;
+        drop(st);
         self.drain_cv.notify_all();
     }
 }
@@ -1050,9 +1102,9 @@ impl PersistentStore {
         snapshot: &SnapshotView,
     ) -> Option<(Arc<SnapshotView>, Arc<PipelineResult>)> {
         // The write-behind buffer is part of the store's contents: an
-        // entry put moments ago must hit even before it reaches disk. In
-        // async mode entries stay in the buffer *until durably renamed*,
-        // so there is no put-visible-but-nowhere window.
+        // entry put moments ago must hit even before it reaches disk.
+        // Entries stay in the buffer *until durably renamed*, in both
+        // modes, so there is no put-visible-but-nowhere window.
         {
             let pending = self.inner.lock_state();
             if let Some(e) = pending.pending.iter().rev().find(|e| e.entry.key == key) {
@@ -1097,21 +1149,23 @@ impl PersistentStore {
     }
 
     /// Buffers an entry for writing. The entry is visible to
-    /// [`PersistentStore::get`] immediately.
+    /// [`PersistentStore::get`] immediately, and stays visible until it
+    /// is durably renamed.
     ///
     /// * **Async mode:** a bounded enqueue with **no filesystem
     ///   syscalls** — the background writer drains it. A full queue
-    ///   evicts the oldest unwritten entry ([`PersistStats::dropped`])
-    ///   rather than blocking.
-    /// * **Sync mode:** the historical write-behind buffer — the entry
-    ///   reaches disk on the next [`PersistentStore::flush`] (run
-    ///   automatically once a handful of writes accumulate, and on drop).
+    ///   evicts the oldest entry not already being written
+    ///   ([`PersistStats::dropped`]) rather than blocking.
+    /// * **Sync mode:** once a handful of entries are buffered, `put`
+    ///   runs the drain barrier on the calling thread (see
+    ///   [`PersistentStore::flush`]); otherwise the entry waits for the
+    ///   next flush, compaction, or drop.
     ///
     /// Filesystem failures that happen after `put` returned are counted
     /// in [`PersistStats::write_errors`] and retained for
-    /// [`PersistentStore::take_write_errors`] — the store is a cache of
-    /// recomputable work, so losing a write is a future cold miss, not
-    /// data loss.
+    /// [`PersistentStore::take_write_errors`] (and the next `flush`) — the
+    /// store is a cache of recomputable work, so losing a write is a
+    /// future cold miss, not data loss.
     pub fn put(&self, key: StoreKey, snapshot: Arc<SnapshotView>, result: Arc<PipelineResult>) {
         if !self.inner.breaker_admits() {
             // Open breaker: refuse instead of queueing a doomed write.
@@ -1126,161 +1180,72 @@ impl PersistentStore {
             snapshot,
             result,
         };
-        if self.inner.options.async_writer {
-            {
-                let mut st = self.inner.lock_state();
-                st.pending.retain(|p| p.entry.key != key);
-                if st.pending.len() >= self.inner.options.queue_depth {
-                    // Evict the oldest *unclaimed* entry instead of
-                    // blocking the analysis thread — an entry the writer
-                    // already snapshotted into its in-flight batch is
-                    // being written right now, so evicting it would count
-                    // it both written and dropped. When every queued
-                    // entry is claimed, allow a transient overshoot; the
-                    // writer removes the whole claimed prefix momentarily.
-                    let claimed_through = st.claimed_through;
-                    if let Some(pos) = st.pending.iter().position(|p| p.seq > claimed_through) {
-                        st.pending.remove(pos);
-                        self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                let seq = st.next_seq;
-                st.next_seq += 1;
-                st.pending.push(SeqEntry { seq, entry });
-            }
-            self.inner.work_cv.notify_one();
-            return;
-        }
-        let should_flush = {
+        let options = &self.inner.options;
+        let auto_flush = {
             let mut st = self.inner.lock_state();
             st.pending.retain(|p| p.entry.key != key);
+            if options.async_writer && st.pending.len() >= options.queue_depth {
+                // Evict the oldest *unclaimed* entry instead of blocking
+                // the analysis thread — a claimed entry is being written
+                // right now, so evicting it would count it both written
+                // and dropped. When every queued entry is claimed, allow a
+                // transient overshoot; the batch in flight removes them
+                // momentarily.
+                let claimed_through = st.claimed_through;
+                if let Some(pos) = st.pending.iter().position(|p| p.seq > claimed_through) {
+                    st.pending.remove(pos);
+                    self.inner.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             let seq = st.next_seq;
             st.next_seq += 1;
             st.pending.push(SeqEntry { seq, entry });
-            st.pending.len() >= AUTO_FLUSH_THRESHOLD
+            !options.async_writer && st.pending.len() >= AUTO_FLUSH_THRESHOLD
         };
-        if should_flush {
-            // Counted in the stats and retained as deferred errors by the
-            // flush itself; nothing to return from `put`.
-            if let Err(err) = self.flush_sync() {
-                self.inner.push_deferred(err.into_deferred());
-            }
+        self.inner.work_cv.notify_one();
+        if auto_flush {
+            // The drain counts and defers every failure itself; nothing
+            // to return from `put`.
+            self.inner.drain(None, true);
         }
     }
 
     /// Drains every buffered entry to disk (atomic per entry: unique temp
-    /// file + rename). Returns the number of entries written during the
-    /// drain.
-    ///
-    /// * **Async mode:** a **drain barrier** — blocks until every entry
-    ///   enqueued before this call has been written (or failed) by the
-    ///   writer thread, then surfaces the oldest deferred error, if any.
-    /// * **Sync mode:** writes the buffer inline on the calling thread.
+    /// file + rename) — a **drain barrier** in both write modes: it
+    /// returns once every entry queued before the call has been written
+    /// (or failed). A synchronous store writes them on the calling
+    /// thread; an async store waits for its writer thread. A concurrent
+    /// flush whose batch is still in flight is waited for, never raced.
+    /// Returns the number of entries written during the call.
     ///
     /// # Errors
-    /// [`SailingError::Persist`] carrying the first inline filesystem
-    /// failure, or [`SailingError::PersistDeferred`] carrying the oldest
-    /// background failure. Failed entries are dropped either way (and
-    /// counted in [`PersistStats::write_errors`]) so a read-only
-    /// directory cannot grow the buffer without bound; remaining deferred
-    /// errors stay available via [`PersistentStore::take_write_errors`].
+    /// [`SailingError::Persist`] carrying the first failure of a batch
+    /// this call wrote itself; otherwise [`SailingError::PersistDeferred`]
+    /// carrying the oldest deferred failure (a background write, an
+    /// automatic flush, or another drain). Failed entries are dropped
+    /// either way (and counted in [`PersistStats::write_errors`]) so a
+    /// read-only directory cannot grow the buffer without bound;
+    /// remaining deferred errors stay available via
+    /// [`PersistentStore::take_write_errors`].
     pub fn flush(&self) -> Result<usize, SailingError> {
-        if !self.inner.options.async_writer {
-            return self.flush_sync();
-        }
         let writes_before = self.inner.writes.load(Ordering::Relaxed);
-        let target = {
-            let st = self.inner.lock_state();
-            st.next_seq - 1
-        };
-        self.inner.work_cv.notify_one();
-        {
-            let mut st = self.inner.lock_state();
-            while st.drained_through < target && st.writer_alive {
-                st = recover(self.inner.drain_cv.wait(st));
-            }
-            if st.drained_through < target {
-                // The writer is gone (shutdown raced this call): drain the
-                // remainder inline so the barrier contract still holds.
-                let batch: Vec<PendingEntry> = st.pending.drain(..).map(|p| p.entry).collect();
-                st.drained_through = st.drained_through.max(target);
-                drop(st);
-                let (_, first_error) = self.inner.write_batch(&batch);
-                if let Some(err) = first_error {
-                    self.inner.push_deferred(err.into_deferred());
-                }
-                self.inner.drain_cv.notify_all();
-            }
+        if let Some(Err(err)) = self.inner.drain(None, false) {
+            return Err(err);
         }
-        let written = (self.inner.writes.load(Ordering::Relaxed) - writes_before) as usize;
-        let oldest_deferred = {
-            let mut deferred = recover(self.inner.deferred.lock());
-            if deferred.is_empty() {
-                None
-            } else {
-                Some(deferred.remove(0))
-            }
-        };
-        match oldest_deferred {
-            Some(err) => Err(err),
-            None => Ok(written),
+        let mut deferred = recover(self.inner.deferred.lock());
+        if !deferred.is_empty() {
+            return Err(deferred.remove(0));
         }
-    }
-
-    /// Empties the write buffer without surfacing write errors — they are
-    /// counted and retained as usual, but the caller (compaction) only
-    /// cares that the buffer is drained before the sweep.
-    fn drain_ignoring_write_errors(&self) {
-        if self.inner.options.async_writer {
-            let target = {
-                let st = self.inner.lock_state();
-                st.next_seq - 1
-            };
-            self.inner.work_cv.notify_one();
-            let mut st = self.inner.lock_state();
-            while st.drained_through < target && st.writer_alive {
-                st = recover(self.inner.drain_cv.wait(st));
-            }
-            if st.drained_through >= target {
-                return;
-            }
-            // Writer already shut down: drain inline.
-            let batch: Vec<PendingEntry> = st.pending.drain(..).map(|p| p.entry).collect();
-            st.drained_through = st.drained_through.max(target);
-            drop(st);
-            let (_, first_error) = self.inner.write_batch(&batch);
-            if let Some(err) = first_error {
-                self.inner.push_deferred(err.into_deferred());
-            }
-            self.inner.drain_cv.notify_all();
-            return;
-        }
-        if let Err(err) = self.flush_sync() {
-            self.inner.push_deferred(err.into_deferred());
-        }
-    }
-
-    /// The synchronous inline drain (also the fallback when the async
-    /// writer is already shut down).
-    fn flush_sync(&self) -> Result<usize, SailingError> {
-        let batch: Vec<PendingEntry> = {
-            let mut st = self.inner.lock_state();
-            let max_seq = st.pending.last().map_or(0, |p| p.seq);
-            st.drained_through = st.drained_through.max(max_seq);
-            st.pending.drain(..).map(|p| p.entry).collect()
-        };
-        let (written, first_error) = self.inner.write_batch(&batch);
-        match first_error {
-            Some(err) => Err(err),
-            None => Ok(written),
-        }
+        Ok((self.inner.writes.load(Ordering::Relaxed) - writes_before) as usize)
     }
 
     /// Validates every entry file end to end — header, checksum, payload,
     /// key-vs-content agreement — removing the ones that fail, along with
     /// any orphaned temp files a crashed write left behind, so a store
     /// that accumulated damage or pre-[`FORMAT_VERSION`] files shrinks
-    /// back to its valid core. Buffered writes are flushed first.
+    /// back to its valid core. The drain barrier runs first (the same
+    /// one [`PersistentStore::flush`] runs), so every buffered entry is
+    /// on disk, or has failed, before the sweep starts.
     ///
     /// Safe to run while other handles (including other processes over a
     /// shared filesystem) keep reading and writing the same directory:
@@ -1305,11 +1270,11 @@ impl PersistentStore {
     /// fails at the filesystem level (validation failures are what this
     /// sweep is *for* and are never errors). Per-entry **write** failures
     /// during the pre-sweep drain are not compaction failures either:
-    /// they stay counted in [`PersistStats::write_errors`] and retained
-    /// for [`PersistentStore::take_write_errors`], exactly as if the
-    /// drain had happened on its own.
+    /// they stay counted in [`PersistStats::write_errors`] and are
+    /// deferred — retained for [`PersistentStore::take_write_errors`] and
+    /// returned by the next `flush`.
     pub fn compact(&self) -> Result<CompactReport, SailingError> {
-        self.drain_ignoring_write_errors();
+        self.inner.drain(None, true);
         let mut report = CompactReport::default();
         // Each layout directory — the root plus every shard — is swept
         // under its *own* `compact.lock`, so two compactors over one
@@ -1418,29 +1383,8 @@ impl PersistentStore {
     /// long, or containing path separators); [`SailingError::Persist`]
     /// when the filesystem write or rename fails.
     pub fn put_blob(&self, name: &str, bytes: &[u8]) -> Result<(), SailingError> {
-        static BLOB_SEQ: AtomicU64 = AtomicU64::new(0);
         let file_name = blob_file_name(name, BLOB_EXTENSION)?;
-        let final_path = self.inner.file_path(&file_name);
-        let tmp_path = final_path.with_file_name(format!(
-            "{file_name}.tmp-{}-{}",
-            std::process::id(),
-            BLOB_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut framed = format!(
-            "{BLOB_MAGIC} v{FORMAT_VERSION} {} {:016x}\n",
-            bytes.len(),
-            checksum_bytes(bytes)
-        )
-        .into_bytes();
-        framed.extend_from_slice(bytes);
-        self.inner
-            .fs
-            .write(&tmp_path, &framed)
-            .map_err(|e| SailingError::persist(tmp_path.display().to_string(), e))?;
-        self.inner.fs.rename(&tmp_path, &final_path).map_err(|e| {
-            let _ = self.inner.fs.remove_file(&tmp_path);
-            SailingError::persist(final_path.display().to_string(), e)
-        })
+        self.inner.publish(&file_name, &frame(BLOB_MAGIC, bytes))
     }
 
     /// Reads back a named blob published by [`PersistentStore::put_blob`]
@@ -1451,7 +1395,7 @@ impl PersistentStore {
     pub fn get_blob(&self, name: &str) -> Option<Vec<u8>> {
         let file_name = blob_file_name(name, BLOB_EXTENSION).ok()?;
         let bytes = self.inner.fs.read(&self.inner.file_path(&file_name)).ok()?;
-        decode_blob(&bytes)
+        unframe(BLOB_MAGIC, &bytes).ok().map(<[u8]>::to_vec)
     }
 
     /// Removes a named blob. `true` when a file was actually unlinked.
@@ -1499,56 +1443,29 @@ impl PersistentStore {
 
 impl Drop for PersistentStore {
     fn drop(&mut self) {
-        if self.inner.options.async_writer {
-            {
-                let mut st = self.inner.lock_state();
-                st.shutdown = true;
-            }
-            self.inner.work_cv.notify_all();
-            let handle = self.writer.take();
-            if std::thread::panicking() {
-                // Already unwinding: never block (or risk a second panic)
-                // in a destructor. The detached writer still drains what
-                // it holds and exits on its own.
-                return;
-            }
-            // Deadline drain: wait for the writer to empty the queue, but
-            // never wedge the process on a hung filesystem — past the
-            // deadline the writer is detached and the unwritten tail
-            // becomes future cold misses.
-            let deadline = Instant::now() + self.inner.options.shutdown_deadline;
-            let mut st = self.inner.lock_state();
-            while !st.pending.is_empty() && st.writer_alive {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    break;
-                }
-                let (guard, _timeout) = self
-                    .inner
-                    .drain_cv
-                    .wait_timeout(st, remaining)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = guard;
-            }
-            let drained = st.pending.is_empty();
-            drop(st);
-            if drained {
-                if let Some(handle) = handle {
-                    let _ = handle.join();
-                }
-            }
-            return;
-        }
-        // A panic unwinding through this frame must not run a best-effort
-        // flush: a second panic (or even an abort-on-double-panic) would
-        // escalate the original failure. Buffered entries are caches of
-        // recomputable work — losing them is a future cold miss.
+        self.inner.lock_state().shutdown = true;
+        self.inner.work_cv.notify_all();
         if std::thread::panicking() {
+            // Already unwinding: never block, write, or risk a second
+            // panic in a destructor. A detached writer still drains what
+            // it holds and exits on its own; a synchronous store's buffer
+            // is a cache of recomputable work — future cold misses.
             return;
         }
-        // Best effort: a handle going away must not strand buffered
-        // entries; failures are already counted by `flush`.
-        let _ = self.flush_sync();
+        // Best effort, with failures counted and deferred by the drain. An
+        // async store waits with a deadline and never wedges the process
+        // on a hung filesystem: past it the writer is detached and the
+        // unwritten tail becomes future cold misses. A synchronous store
+        // has no writer to wait for and drains inline.
+        let deadline = self
+            .writer
+            .is_some()
+            .then(|| Instant::now() + self.inner.options.shutdown_deadline);
+        if self.inner.drain(deadline, true).is_some() {
+            if let Some(handle) = self.writer.take() {
+                let _ = handle.join();
+            }
+        }
     }
 }
 
@@ -1746,25 +1663,6 @@ fn blob_file_name(name: &str, extension: &str) -> Result<String, SailingError> {
         ));
     }
     Ok(format!("{name}.{extension}"))
-}
-
-/// Decodes a framed blob file; any damage reads as `None`.
-fn decode_blob(bytes: &[u8]) -> Option<Vec<u8>> {
-    let nl = bytes.iter().position(|&b| b == b'\n')?;
-    let header = std::str::from_utf8(&bytes[..nl]).ok()?;
-    let mut parts = header.split(' ');
-    if parts.next()? != BLOB_MAGIC {
-        return None;
-    }
-    let version: u32 = parts.next()?.strip_prefix('v')?.parse().ok()?;
-    if version != FORMAT_VERSION {
-        return None;
-    }
-    let len: usize = parts.next()?.parse().ok()?;
-    let checksum = u64::from_str_radix(parts.next()?, 16).ok()?;
-    let payload = bytes.get(nl + 1..)?;
-    (parts.next().is_none() && payload.len() == len && checksum_bytes(payload) == checksum)
-        .then(|| payload.to_vec())
 }
 
 struct DecodedEntry {
@@ -1966,49 +1864,31 @@ fn result_from_content(content: &Content) -> Result<PipelineResult, &'static str
     })
 }
 
-/// Renders one entry in format v1. Deterministic for equal inputs: the
-/// payload is canonical JSON over canonical layouts, so golden files can
-/// pin the format.
-fn encode_entry(key: StoreKey, snapshot: &SnapshotView, result: &PipelineResult) -> Vec<u8> {
-    let payload = serde::json::write(&Content::Map(vec![
-        (
-            Content::Str("snapshot_hash".to_string()),
-            Content::U64(key.snapshot_hash),
-        ),
-        (
-            Content::Str("provenance".to_string()),
-            match key.provenance {
-                Some(p) => Content::U64(p),
-                None => Content::Null,
-            },
-        ),
-        (
-            Content::Str("snapshot".to_string()),
-            snapshot_content(snapshot),
-        ),
-        (Content::Str("result".to_string()), result_content(result)),
-    ]));
+/// Frames `payload` as one store file, entry or blob: the header line
+/// `<magic> v<FORMAT_VERSION> <payload_len> <checksum:016x>\n`, then
+/// the payload bytes.
+fn frame(magic: &str, payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
-        "{MAGIC} v{FORMAT_VERSION} {} {:016x}\n",
+        "{magic} v{FORMAT_VERSION} {} {:016x}\n",
         payload.len(),
-        checksum_bytes(payload.as_bytes())
+        checksum_bytes(payload)
     )
     .into_bytes();
-    out.extend_from_slice(payload.as_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
-/// Decodes and fully validates one entry. Every failure is a `&'static
-/// str` reason — the read path maps them all to a cold miss, `compact`
-/// to a removal.
-fn decode_entry(bytes: &[u8]) -> Result<DecodedEntry, &'static str> {
+/// Validates a [`frame`]d file under `magic` — header fields, format
+/// version, payload length, checksum — and returns its payload. Every
+/// failure is a `&'static str` reason; readers map them all to a miss.
+fn unframe<'a>(magic: &str, bytes: &'a [u8]) -> Result<&'a [u8], &'static str> {
     let newline = bytes
         .iter()
         .position(|&b| b == b'\n')
         .ok_or("missing header line")?;
     let header = std::str::from_utf8(&bytes[..newline]).map_err(|_| "header not UTF-8")?;
     let mut fields = header.split(' ');
-    if fields.next() != Some(MAGIC) {
+    if fields.next() != Some(magic) {
         return Err("bad magic");
     }
     let version = fields
@@ -2037,6 +1917,39 @@ fn decode_entry(bytes: &[u8]) -> Result<DecodedEntry, &'static str> {
     if checksum_bytes(payload) != declared_checksum {
         return Err("checksum mismatch");
     }
+    Ok(payload)
+}
+
+/// Renders one entry in format v1. Deterministic for equal inputs: the
+/// payload is canonical JSON over canonical layouts, so golden files can
+/// pin the format.
+fn encode_entry(key: StoreKey, snapshot: &SnapshotView, result: &PipelineResult) -> Vec<u8> {
+    let payload = serde::json::write(&Content::Map(vec![
+        (
+            Content::Str("snapshot_hash".to_string()),
+            Content::U64(key.snapshot_hash),
+        ),
+        (
+            Content::Str("provenance".to_string()),
+            match key.provenance {
+                Some(p) => Content::U64(p),
+                None => Content::Null,
+            },
+        ),
+        (
+            Content::Str("snapshot".to_string()),
+            snapshot_content(snapshot),
+        ),
+        (Content::Str("result".to_string()), result_content(result)),
+    ]));
+    frame(MAGIC, payload.as_bytes())
+}
+
+/// Decodes and fully validates one entry. Every failure is a `&'static
+/// str` reason — the read path maps them all to a cold miss, `compact`
+/// to a removal.
+fn decode_entry(bytes: &[u8]) -> Result<DecodedEntry, &'static str> {
+    let payload = unframe(MAGIC, bytes)?;
     let payload = std::str::from_utf8(payload).map_err(|_| "payload not UTF-8")?;
     let content = serde::json::parse(payload).map_err(|_| "payload not JSON")?;
     let snapshot_hash = content
@@ -2225,6 +2138,91 @@ mod tests {
             .iter()
             .all(|e| matches!(e, SailingError::PersistDeferred { .. })));
         assert!(store.take_write_errors().is_empty(), "take clears");
+    }
+
+    /// A synchronous store over a filesystem that parks the first write.
+    fn held_sync_store(dir: &Path, gate: &Gate) -> PersistentStore {
+        PersistentStore::open_with_fs(
+            dir,
+            StoreOptions::default(),
+            Arc::new(FaultyFs::new(
+                FaultPlan::new().fail_nth_write(1, WriteFault::Hold(gate.clone())),
+            )),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn sync_entry_stays_visible_while_its_flush_is_mid_write() {
+        let dir = temp_dir("sync-visible");
+        let (snapshot, result, key) = table1_entry();
+        let gate = Gate::new();
+        let store = held_sync_store(&dir, &gate);
+        store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
+        std::thread::scope(|s| {
+            let flusher = s.spawn(|| store.flush());
+            gate.wait_until_held();
+            // Read while the write is parked, then release before any
+            // assert so a failure cannot leave the flusher parked.
+            let hit = store.get(key, &snapshot).is_some();
+            gate.release();
+            assert!(hit, "an entry whose write is in flight must still hit");
+            assert_eq!(flusher.join().unwrap().unwrap(), 1);
+        });
+        assert_eq!(store.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sync_flush_waits_for_a_concurrent_flush_batch() {
+        let dir = temp_dir("sync-barrier");
+        let (snapshot, result, key) = table1_entry();
+        let gate = Gate::new();
+        let store = held_sync_store(&dir, &gate);
+        store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
+        std::thread::scope(|s| {
+            let first = s.spawn(|| store.flush());
+            gate.wait_until_held();
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(100));
+                gate.release();
+            });
+            // The entry is claimed by the parked first flush: the second
+            // must wait for that batch rather than return at once.
+            let second = store.flush();
+            assert_eq!(
+                store.len(),
+                1,
+                "a flush returned before the entry was on disk"
+            );
+            assert!(second.is_ok(), "{second:?}");
+            assert!(first.join().unwrap().is_ok());
+        });
+        assert_eq!(store.stats().writes, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sync_flush_returns_a_failed_auto_flush_as_deferred() {
+        let dir = temp_dir("sync-deferred");
+        let (snapshot, result, _) = table1_entry();
+        let store = PersistentStore::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        // The last put triggers the automatic flush, which fails for all.
+        for i in 0..AUTO_FLUSH_THRESHOLD as u64 {
+            let key = StoreKey::warm(snapshot.content_hash(), i);
+            store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
+        }
+        let stats = store.stats();
+        assert_eq!((stats.writes, stats.write_errors), (0, 8), "{stats:?}");
+        let err = store
+            .flush()
+            .expect_err("the auto-flush failure must surface in the next flush");
+        assert!(
+            matches!(err, SailingError::PersistDeferred { .. }),
+            "{err:?}"
+        );
+        assert_eq!(store.take_write_errors().len(), 7);
     }
 
     #[test]

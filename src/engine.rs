@@ -75,9 +75,10 @@
 //!   [`StoreOptions::async_writer`] passed to
 //!   [`SailingEngineBuilder::persist_options`] the store writes on its own
 //!   background thread, so the analysis path performs **zero filesystem
-//!   syscalls** ([`SailingEngine::flush_persist`] becomes a drain
-//!   barrier, deferred failures surface via
-//!   [`SailingEngine::take_persist_write_errors`]); one store directory
+//!   syscalls** ([`SailingEngine::flush_persist`], a drain barrier in
+//!   both write modes, then waits for that thread; deferred failures
+//!   surface via [`SailingEngine::take_persist_write_errors`]); one
+//!   store directory
 //!   is safe to share across engines, processes, and machines —
 //!   compaction takes the directory's advisory lock and can never sweep
 //!   a just-written valid entry.
@@ -306,8 +307,8 @@ impl SailingEngineBuilder {
     /// With [`StoreOptions::async_writer`] the analysis path performs
     /// **zero filesystem syscalls**: `analyze`/`analyze_owned` enqueue
     /// the freshly computed result and return, and the store's writer
-    /// thread drains the queue. [`SailingEngine::flush_persist`] becomes
-    /// a drain barrier; write failures that happen after the analysis
+    /// thread drains the queue. [`SailingEngine::flush_persist`] waits
+    /// for that thread; write failures that happen after the analysis
     /// returned surface through [`PersistStats::write_errors`] (under
     /// [`CacheStats::persist`]) and
     /// [`SailingEngine::take_persist_write_errors`].
@@ -571,18 +572,20 @@ impl SailingEngine {
     }
 
     /// Flushes the persistent store's buffered writes to disk; returns the
-    /// number of entries written (`0` when no store is attached — results
-    /// are also flushed automatically and when the last engine clone
-    /// drops). With an async writer configured
-    /// ([`StoreOptions::async_writer`]), this is a **drain barrier**: it returns once every result computed before
-    /// the call has been written (or failed) by the store's background
-    /// writer thread.
+    /// number of entries written during the call (`0` when no store is
+    /// attached — results are also flushed automatically and when the
+    /// last engine clone drops). In both write modes this is a **drain
+    /// barrier** ([`PersistentStore::flush`]): it returns once every
+    /// result computed before the call has been written (or failed) —
+    /// inline by the calling thread, or by the store's writer thread when
+    /// [`StoreOptions::async_writer`] is configured.
     ///
     /// # Errors
-    /// [`SailingError::Persist`] on an inline filesystem failure, or
-    /// [`SailingError::PersistDeferred`] carrying the oldest failure from
-    /// the background writer (the rest stay available via
-    /// [`SailingEngine::take_persist_write_errors`]).
+    /// [`SailingError::Persist`] carrying the first failure of a batch
+    /// this call wrote itself, otherwise [`SailingError::PersistDeferred`]
+    /// carrying the oldest failure nobody was waiting for (a background
+    /// write, an automatic flush, a compaction's drain); the rest stay
+    /// available via [`SailingEngine::take_persist_write_errors`].
     pub fn flush_persist(&self) -> Result<usize, SailingError> {
         match &self.persist {
             Some(store) => store.flush(),

@@ -10,7 +10,9 @@
 //! 3. **Format pinning** — a golden store directory committed under
 //!    `tests/golden/persist_v1/` must keep reading; regenerate only for a
 //!    deliberate format-version bump (`UPDATE_GOLDEN=1 cargo test --test
-//!    persist_store`).
+//!    persist_store`). The write side is pinned too: a fresh store writes
+//!    the golden entry byte for byte, and a blob's file is exactly its
+//!    framed payload.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,7 +22,7 @@ use sailing::core::{AccuCopy, DetectionParams, PipelineResult, TruthDiscovery};
 use sailing::engine::SailingEngine;
 use sailing::model::{fixtures, ObjectId, SnapshotView, SourceId, ValueId};
 use sailing::persist::{
-    CompactReport, PersistentStore, StoreKey, StoreOptions, FORMAT_VERSION, MAGIC,
+    checksum_bytes, CompactReport, PersistentStore, StoreKey, StoreOptions, FORMAT_VERSION, MAGIC,
 };
 
 /// A strategy that counts every discovery run it performs — the proof
@@ -565,6 +567,49 @@ fn golden_store_directory_keeps_reading() {
         assert_eq!((g.a, g.b), (l.a, l.b));
         assert!((g.probability - l.probability).abs() < 1e-12);
     }
+}
+
+/// The write side of the golden: writing the Table 1 cold entry into a
+/// fresh store reproduces the committed file byte for byte, so a change
+/// to the writer or the framing cannot drift the on-disk format unseen.
+#[test]
+fn fresh_store_writes_the_golden_entry_byte_for_byte() {
+    let snapshot = table1_snapshot();
+    let key = StoreKey::cold(snapshot.content_hash());
+    let result = Arc::new(AccuCopy::with_defaults().run(&snapshot));
+    let dir = temp_dir("golden-write");
+    let store = PersistentStore::open(&dir).unwrap();
+    store.put(key, Arc::clone(&snapshot), result);
+    assert_eq!(store.flush().unwrap(), 1);
+    let written = std::fs::read(dir.join(key.file_name())).unwrap();
+    let golden = std::fs::read(golden_dir().join(key.file_name())).unwrap();
+    assert!(
+        written == golden,
+        "written entry ({} bytes) differs from the golden ({} bytes)",
+        written.len(),
+        golden.len()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A blob's file is exactly `sailing-blob v1 <len> <checksum>\n` followed
+/// by the payload — the same frame entries use, under the blob magic.
+#[test]
+fn blob_file_is_exactly_its_framed_payload() {
+    let dir = temp_dir("blob-bytes");
+    let store = PersistentStore::open(&dir).unwrap();
+    let payload: &[u8] = b"partial pass\nwith a newline and \xff bytes";
+    store.put_blob("partial-7", payload).unwrap();
+    let mut expected = format!(
+        "sailing-blob v{FORMAT_VERSION} {} {:016x}\n",
+        payload.len(),
+        checksum_bytes(payload)
+    )
+    .into_bytes();
+    expected.extend_from_slice(payload);
+    assert_eq!(std::fs::read(dir.join("partial-7.blob")).unwrap(), expected);
+    assert_eq!(store.get_blob("partial-7").unwrap(), payload);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The canonical serializations the store checksums are deterministic:
