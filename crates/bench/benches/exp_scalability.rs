@@ -55,7 +55,7 @@
 //! the messy variant world — the cost of building a `NormalizedString`
 //! quotient, the post-refactor `Exact` engine path against the direct
 //! pipeline entry (the `Exact` backend must be free: overhead gated
-//! ≤ 1.02× on every run, min-of-N alternating rounds), and decision
+//! ≤ 1.02× on every run, median of order-alternated pairs), and decision
 //! precision under exact / normalized-string / numeric-tolerance
 //! backends — the quotient backends must strictly beat exact identity on
 //! the variant world (deterministic, gated on every run).
@@ -385,10 +385,10 @@ struct ShardedAnalysisPoint {
 /// One value-equivalence measurement on the messy variant world: the
 /// quotient build cost, the `Exact`-backend engine path against the
 /// direct pipeline entry (the refactor's no-regression contract —
-/// `exact_overhead` is gated ≤ 1.02 on every run, smoke included, over
-/// min-of-N alternating rounds), and decision precision per backend
-/// (the quotient backends must strictly beat exact identity — exact
-/// and deterministic, gated on every run).
+/// `exact_overhead` is gated ≤ 1.02 on every run, smoke included, as
+/// the median ratio of order-alternated pairs), and decision precision
+/// per backend (the quotient backends must strictly beat exact identity
+/// — exact and deterministic, gated on every run).
 #[derive(Debug, Serialize)]
 struct EquivalencePoint {
     sources: usize,
@@ -402,12 +402,14 @@ struct EquivalencePoint {
     quotient_classes: usize,
     /// Wall time to build that quotient (partition + dense maps).
     quotient_build_ms: f64,
-    /// Direct pipeline entry (`AccuCopy::run`) — the pre-refactor path.
+    /// Direct pipeline entry (`AccuCopy::run`) — the pre-refactor path —
+    /// in the median pair.
     pipeline_ms: f64,
     /// Post-refactor engine path with the default `Exact` backend,
-    /// cache off.
+    /// cache off, in the median pair.
     exact_ms: f64,
-    /// `exact_ms / pipeline_ms` — gated ≤ 1.02 on every run.
+    /// `exact_ms / pipeline_ms` of the median pair — gated ≤ 1.02 on
+    /// every run.
     exact_overhead: f64,
     /// Engine path under `NormalizedString` (quotient build included).
     normalized_ms: f64,
@@ -1140,11 +1142,15 @@ fn main() {
     } else {
         &[(200, 10), (400, 12)]
     };
-    // The smoke world analyses in ~2.3 ms, where a 2% bound sits inside a
-    // shared host's timer and scheduling noise: the min needs enough
-    // alternating rounds to reach each side's floor (15 rounds stay under
-    // 100 ms). Three rounds failed the gate on working code.
-    let equiv_rounds = if smoke { 15 } else { 5 };
+    // The smoke world analyses in ~2 ms, where a 2% bound sits inside a
+    // shared host's timer and scheduling noise, and the host's speed state
+    // can change between rounds. So the gate times back-to-back pairs, one
+    // run of each path with the order alternated, and takes the median of
+    // the per-pair ratios: a drift in speed moves both halves of a pair,
+    // and outliers fall away in the median. Single pair ratios spread
+    // about ±5% on a 2-CPU host, so the median needs a few hundred pairs
+    // (~1.3 s) to sit well inside the bound; 41 pairs failed 1 run in 10.
+    let equiv_pairs = if smoke { 301 } else { 61 };
     let mut equivalence_points = Vec::new();
     for &(objects, sources) in equiv_configs {
         let messy = VariantWorld::generate(&VariantWorldConfig::messy(objects, sources, 42));
@@ -1161,24 +1167,32 @@ fn main() {
 
         // Exact must be free: the post-refactor engine path (default
         // `Exact` backend, cache off so every round recomputes) against
-        // the direct pipeline entry. Alternating rounds, min per side —
-        // the iteration work dominates both, so the ratio isolates the
-        // facade's added dispatch (`is_exact` check and key derivation).
+        // the direct pipeline entry. The iteration work dominates both,
+        // so the ratio isolates the facade's added dispatch (`is_exact`
+        // check and key derivation).
         let pipeline = sailing_core::AccuCopy::new(DetectionParams::default()).unwrap();
         let exact_engine = SailingEngine::builder().cache_capacity(0).build().unwrap();
         pipeline.run(&snapshot);
         exact_engine.analyze_owned(Arc::clone(&snapshot));
-        let (mut t_pipe, mut t_exact) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..equiv_rounds {
-            let (_, t) = time_ms(|| pipeline.run(&snapshot));
-            t_pipe = t_pipe.min(t);
-            let (_, t) = time_ms(|| exact_engine.analyze_owned(Arc::clone(&snapshot)));
-            t_exact = t_exact.min(t);
-        }
+        let time_pipe = || time_ms(|| pipeline.run(&snapshot)).1;
+        let time_exact = || time_ms(|| exact_engine.analyze_owned(Arc::clone(&snapshot))).1;
+        let mut pairs: Vec<(f64, f64)> = (0..equiv_pairs)
+            .map(|k| {
+                if k % 2 == 0 {
+                    let t_pipe = time_pipe();
+                    (t_pipe, time_exact())
+                } else {
+                    let t_exact = time_exact();
+                    (time_pipe(), t_exact)
+                }
+            })
+            .collect();
+        pairs.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+        let (t_pipe, t_exact) = pairs[pairs.len() / 2];
         let exact_overhead = t_exact / t_pipe.max(1e-9);
         assert!(
             exact_overhead <= 1.02,
-            "Exact backend must stay within 2% of the direct pipeline: \
+            "Exact backend must stay within 2% of the direct pipeline: median pair \
              {t_exact:.2}ms vs {t_pipe:.2}ms ({exact_overhead:.3}x)"
         );
 

@@ -12,7 +12,8 @@
 //!   hammered with the default read-heavy mix (70% top-k, 10% each fuse /
 //!   recommend / source-reports); the run records wall time, aggregate
 //!   queries/sec, and per-endpoint p50/p99/mean from the serve
-//!   histograms.
+//!   histograms. On every run, smoke included, `recommend`'s p50 must
+//!   stay within 5x of `top_k`'s.
 //! * **epoch_churn** — the same closed loop with a writer toggling the
 //!   epoch between two snapshots the whole time, recording throughput
 //!   under publication churn and the number of swaps observed.
@@ -258,6 +259,16 @@ fn main() {
         assert_eq!(queries, (threads * per_thread) as u64);
         let qps = queries as f64 / (elapsed_ms / 1e3);
         let topk = metrics.endpoint(Endpoint::TopK);
+        // Recommendation costs O(limit · (sources + dependences)), the
+        // same order as a top-k lookup; a per-candidate rescan of the
+        // dependence list puts it 20-30x above.
+        let recommend = metrics.endpoint(Endpoint::Recommend);
+        assert!(
+            recommend.p50_us <= 5.0 * topk.p50_us,
+            "recommend p50 {:.1} us exceeds 5x top_k p50 {:.1} us at {threads} threads",
+            recommend.p50_us,
+            topk.p50_us
+        );
         println!(
             "{}",
             row(&[

@@ -28,13 +28,26 @@ pub struct Recommendation {
     pub rationale: String,
 }
 
-/// Ranks sources for a goal.
+/// Ranks sources for a goal, greedily: each round recommends the remaining
+/// source with the highest goal-adjusted score.
 ///
 /// * `TruthSeeking`: trust score with full independence weighting; sources
 ///   that copy already-selected ones sink (greedy redundancy removal).
 /// * `DiversitySeeking`: base trust ignores independence, and a bonus is
 ///   given to sources *dissimilarity*-dependent on an already-selected
 ///   source — they supply the dissenting view.
+///
+/// A candidate's score starts at its base trust and is adjusted once per
+/// selected source it depends on, in selection order. Only the *first*
+/// pair in `dependences` naming the two sources, in either orientation,
+/// counts: a later duplicate is ignored, and a first pair with
+/// probability below 0.5 leaves the score alone. Scores compare by
+/// [`f64::total_cmp`], ties go to the lower source index, and the
+/// rationale names the last selected source that adjusted the score.
+///
+/// Cost: O(limit · (n + |dependences|)) for `n = scores.len()` — one pass
+/// over `dependences` per selection, and one formatted rationale per
+/// recommendation.
 pub fn recommend_sources(
     scores: &[TrustScore],
     dependences: &[PairDependence],
@@ -42,77 +55,86 @@ pub fn recommend_sources(
     weights: &TrustWeights,
     limit: usize,
 ) -> Vec<Recommendation> {
-    let n = scores.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
-    let mut chosen: Vec<Recommendation> = Vec::new();
-
-    let dep_between = |x: usize, y: usize| -> Option<&PairDependence> {
-        dependences.iter().find(|p| {
-            (p.a.index() == x && p.b.index() == y) || (p.a.index() == y && p.b.index() == x)
-        })
+    let base_weights = match goal {
+        Goal::TruthSeeking => *weights,
+        // Independence is not a virtue for diversity.
+        Goal::DiversitySeeking => TrustWeights {
+            independence: 0.0,
+            ..*weights
+        },
     };
+    let base: Vec<f64> = scores.iter().map(|s| s.combined(&base_weights)).collect();
+    let n = base.len();
+    // Running goal-adjusted score per source, and the wording and source
+    // of its latest adjustment.
+    let mut score = base.clone();
+    let mut adjusted: Vec<Option<(&'static str, SourceId)>> = vec![None; n];
+    // `seen[s] == round` once that round's selection met its first pair
+    // with `s`.
+    let mut seen = vec![usize::MAX; n];
+    let mut remaining: Vec<usize> = (0..n).collect();
+    let mut chosen = Vec::with_capacity(limit.min(n));
 
     while chosen.len() < limit && !remaining.is_empty() {
-        let (pos, best, rationale) = remaining
+        let (pos, _) = remaining
             .iter()
             .enumerate()
-            .map(|(pos, &i)| {
-                let base = match goal {
-                    Goal::TruthSeeking => scores[i].combined(weights),
-                    Goal::DiversitySeeking => {
-                        // Independence is not a virtue for diversity.
-                        let w = TrustWeights {
-                            independence: 0.0,
-                            ..*weights
-                        };
-                        scores[i].combined(&w)
-                    }
-                };
-                let mut score = base;
-                let mut rationale = format!("trust {base:.2}");
-                for picked in &chosen {
-                    if let Some(dep) = dep_between(i, picked.source.index()) {
-                        if dep.probability < 0.5 {
-                            continue;
-                        }
-                        match (goal, dep.kind) {
-                            (Goal::TruthSeeking, _) => {
-                                score *= 1.0 - dep.probability;
-                                rationale = format!(
-                                    "trust {base:.2}, discounted: dependent on already-selected {}",
-                                    picked.source
-                                );
-                            }
-                            (Goal::DiversitySeeking, DependenceKind::Dissimilarity) => {
-                                score += 0.25 * dep.probability;
-                                rationale = format!(
-                                    "trust {base:.2}, boosted: dissenting view of {}",
-                                    picked.source
-                                );
-                            }
-                            (Goal::DiversitySeeking, DependenceKind::Similarity) => {
-                                score *= 1.0 - dep.probability;
-                                rationale = format!(
-                                    "trust {base:.2}, discounted: copy of {}",
-                                    picked.source
-                                );
-                            }
-                        }
-                    }
-                }
-                (pos, score, rationale)
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+            .max_by(|a, b| score[*a.1].total_cmp(&score[*b.1]).then(b.0.cmp(&a.0)))
             .expect("remaining non-empty");
-        let source = SourceId::from_index(remaining.remove(pos));
+        let pick = remaining.remove(pos);
+        let source = SourceId::from_index(pick);
+        let rationale = match adjusted[pick] {
+            None => format!("trust {:.2}", base[pick]),
+            Some((wording, by)) => format!("trust {:.2}, {wording}{by}", base[pick]),
+        };
         chosen.push(Recommendation {
             source,
-            score: best,
+            score: score[pick],
             rationale,
         });
+        if chosen.len() == limit {
+            break;
+        }
+        // Apply this selection's effect. Sources already selected may be
+        // adjusted too; nothing reads them again.
+        let round = chosen.len();
+        for dep in dependences {
+            let other = if dep.a.index() == pick {
+                dep.b.index()
+            } else if dep.b.index() == pick {
+                dep.a.index()
+            } else {
+                continue;
+            };
+            if other >= n || seen[other] == round {
+                continue;
+            }
+            seen[other] = round;
+            if dep.probability < 0.5 {
+                continue;
+            }
+            let wording = match (goal, dep.kind) {
+                (Goal::TruthSeeking, _) => {
+                    score[other] *= 1.0 - dep.probability;
+                    "discounted: dependent on already-selected "
+                }
+                (Goal::DiversitySeeking, DependenceKind::Dissimilarity) => {
+                    score[other] += 0.25 * dep.probability;
+                    "boosted: dissenting view of "
+                }
+                (Goal::DiversitySeeking, DependenceKind::Similarity) => {
+                    score[other] *= 1.0 - dep.probability;
+                    "discounted: copy of "
+                }
+            };
+            adjusted[other] = Some((wording, source));
+        }
     }
     chosen
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -227,5 +249,125 @@ mod tests {
         );
         // Below the 0.5 bar the dependence does not discount.
         assert!((recs[1].score - scores[1].combined(&TrustWeights::default())).abs() < 1e-9);
+    }
+
+    /// SplitMix64: a seeded generator, so every failing case replays.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        /// A factor in [0, 1], now and then exactly 0.5.
+        fn factor(&mut self) -> f64 {
+            if self.below(8) == 0 {
+                0.5
+            } else {
+                self.unit()
+            }
+        }
+
+        /// A dependence probability, with the 0.5 boundary drawn on
+        /// purpose.
+        fn probability(&mut self) -> f64 {
+            match self.below(6) {
+                0 => 0.5,
+                1 => 1.0,
+                _ => self.unit(),
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_matches_reference_loop() {
+        let mut rng = Rng(0x5a11_1e55);
+        for case in 0..3000 {
+            let n = rng.below(9);
+            // NaNs of either sign enter through the scores or through one
+            // probability, never both: an `f64` operation on two NaNs may
+            // return either operand's sign, so its bits are codegen's
+            // choice in both paths. One NaN operand per operation keeps
+            // every result defined.
+            let nan_scores = rng.below(2) == 0;
+            let scores: Vec<TrustScore> = (0..n)
+                .map(|_| {
+                    let mut factors = [rng.factor(), rng.factor(), rng.factor(), rng.factor()];
+                    if nan_scores && rng.below(3) == 0 {
+                        factors[rng.below(4)] = [f64::NAN, -f64::NAN][rng.below(2)];
+                    }
+                    let [accuracy, coverage, freshness, independence] = factors;
+                    TrustScore {
+                        accuracy,
+                        coverage,
+                        freshness,
+                        independence,
+                    }
+                })
+                .collect();
+            // Ids run past `n`; small id ranges make duplicates common,
+            // and some pairs are repeated reversed with other values.
+            let mut deps = Vec::new();
+            for _ in 0..rng.below(3 * n + 3) {
+                let kind = |rng: &mut Rng| {
+                    if rng.below(2) == 0 {
+                        DependenceKind::Similarity
+                    } else {
+                        DependenceKind::Dissimilarity
+                    }
+                };
+                let (a, b) = (rng.below(n + 2) as u32, rng.below(n + 2) as u32);
+                let (k, p) = (kind(&mut rng), rng.probability());
+                deps.push(dep(a, b, k, p));
+                if rng.below(4) == 0 {
+                    let (k, p) = (kind(&mut rng), rng.probability());
+                    deps.push(dep(b, a, k, p));
+                }
+            }
+            if !nan_scores && !deps.is_empty() && rng.below(2) == 0 {
+                let at = rng.below(deps.len());
+                deps[at].probability = [f64::NAN, -f64::NAN][rng.below(2)];
+            }
+            let weights = if rng.below(2) == 0 {
+                TrustWeights::default()
+            } else {
+                TrustWeights {
+                    accuracy: rng.unit(),
+                    coverage: rng.unit(),
+                    freshness: rng.unit(),
+                    independence: rng.unit(),
+                }
+            };
+            for goal in [Goal::TruthSeeking, Goal::DiversitySeeking] {
+                for limit in [0, 1, 5, n + 3] {
+                    let fast = recommend_sources(&scores, &deps, goal, &weights, limit);
+                    let slow = reference::recommend_sources_reference(
+                        &scores, &deps, goal, &weights, limit,
+                    );
+                    let key = |recs: &[Recommendation]| {
+                        recs.iter()
+                            .map(|r| (r.source, r.score.to_bits(), r.rationale.clone()))
+                            .collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        key(&fast),
+                        key(&slow),
+                        "case {case}, {goal:?}, limit {limit}: scores {scores:?}, deps {deps:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -1068,17 +1068,20 @@ impl SailingEngine {
         history: Option<Arc<History>>,
         result: Arc<PipelineResult>,
     ) -> Analysis {
-        let matrix = result.dependence_matrix();
+        let derived = Arc::new(Derived {
+            matrix: result.dependence_matrix(),
+            reports: OnceLock::new(),
+            trust: OnceLock::new(),
+            fused: OnceLock::new(),
+        });
         Analysis {
             snapshot,
             history,
             result,
-            matrix,
+            derived,
             params: self.params.clone(),
             trust_weights: self.trust_weights,
             strategy_name: self.strategy.name(),
-            reports: OnceLock::new(),
-            trust: OnceLock::new(),
         }
     }
 }
@@ -1133,17 +1136,28 @@ pub struct Analysis {
     /// `fuse()` bumps a reference count instead of deep-cloning the full
     /// posterior payload per call.
     result: Arc<PipelineResult>,
-    matrix: DependenceMatrix,
+    /// The dependence matrix and the memos, shared by every clone.
+    derived: Arc<Derived>,
     params: DetectionParams,
     trust_weights: TrustWeights,
     strategy_name: &'static str,
-    /// Lazily-computed per-source reports; `OnceLock` keeps repeated
-    /// `source_reports()` / `top_k()` calls from redoing the O(sources²)
-    /// summary work.
+}
+
+/// What an [`Analysis`] derives from its pipeline result. It sits behind
+/// one [`Arc`], so clones of an analysis share the matrix and whatever
+/// memo any of them filled.
+#[derive(Debug)]
+struct Derived {
+    matrix: DependenceMatrix,
+    /// Per-source reports; memoised so repeated `source_reports()` /
+    /// `top_k()` calls do not redo the O(sources²) summary work.
     reports: OnceLock<Vec<SourceReport>>,
-    /// Lazily-computed trust scores, for the same reason: `recommend()`
-    /// may be called once per goal/limit against one analysis.
+    /// Trust scores, for the same reason: `recommend()` may be called
+    /// once per goal/limit against one analysis.
     trust: OnceLock<Vec<TrustScore>>,
+    /// The fusion outcome, so `fuse()` clones the decision map instead of
+    /// rebuilding it over every object.
+    fused: OnceLock<FusionOutcome>,
 }
 
 impl Analysis {
@@ -1199,7 +1213,7 @@ impl Analysis {
 
     /// The cached dependence matrix implied by the detected pairs.
     pub fn dependence_matrix(&self) -> &DependenceMatrix {
-        &self.matrix
+        &self.derived.matrix
     }
 
     /// Hard truth decisions: most probable value per object, in ascending
@@ -1227,17 +1241,24 @@ impl Analysis {
     /// vote independence. Computed once per analysis from the cached
     /// dependence matrix, then memoised.
     pub fn source_reports(&self) -> &[SourceReport] {
-        self.reports.get_or_init(|| {
+        self.derived.reports.get_or_init(|| {
             self.result
-                .source_reports_with(&self.snapshot, &self.matrix)
+                .source_reports_with(&self.snapshot, &self.derived.matrix)
         })
     }
 
     /// The fusion outcome implied by this analysis — equivalent to running
     /// `sailing_fusion::fuse` with the engine's strategy, but sharing the
-    /// already-converged pipeline result (no re-run, no deep clone).
+    /// already-converged pipeline result (no re-run, no deep clone). The
+    /// outcome is built once per analysis and memoised; each call returns
+    /// a clone of it, whose result is this analysis's [`Analysis::result_arc`].
     pub fn fuse(&self) -> FusionOutcome {
-        FusionOutcome::from_shared(Arc::clone(&self.result), self.strategy_name)
+        self.derived
+            .fused
+            .get_or_init(|| {
+                FusionOutcome::from_shared(Arc::clone(&self.result), self.strategy_name)
+            })
+            .clone()
     }
 
     /// The probabilistic-database view of the fused value distributions.
@@ -1252,7 +1273,7 @@ impl Analysis {
         OnlineSession::new(
             &self.snapshot,
             self.result.accuracies.clone(),
-            self.matrix.clone(),
+            self.derived.matrix.clone(),
             self.params.clone(),
         )
     }
@@ -1263,7 +1284,7 @@ impl Analysis {
         order_sources(
             &self.snapshot,
             &self.result.accuracies,
-            &self.matrix,
+            &self.derived.matrix,
             policy,
         )
     }
@@ -1284,11 +1305,11 @@ impl Analysis {
     /// independence); freshness uses the attached history when present.
     /// Computed once per analysis, then memoised.
     pub fn trust_scores(&self) -> &[TrustScore] {
-        self.trust.get_or_init(|| {
+        self.derived.trust.get_or_init(|| {
             trust_scores(
                 &self.snapshot,
                 &self.result.accuracies,
-                &self.matrix,
+                &self.derived.matrix,
                 self.history.as_deref(),
             )
         })
@@ -2721,6 +2742,40 @@ mod tests {
             analysis.probabilities().distribution(o).as_ptr(),
             f1.probabilities().distribution(o).as_ptr(),
         ));
+    }
+
+    #[test]
+    fn clones_share_the_memos() {
+        let (store, _) = fixtures::table1();
+        let analysis = SailingEngine::with_defaults().analyze(&store.snapshot());
+        let reports = analysis.source_reports();
+        let trust = analysis.trust_scores();
+        let fused = analysis.fuse();
+        // Filled before the clone: the clone reads the same allocations.
+        let clone = analysis.clone();
+        assert!(std::ptr::eq(reports, clone.source_reports()));
+        assert!(std::ptr::eq(trust, clone.trust_scores()));
+        assert!(std::ptr::eq(
+            analysis.dependence_matrix(),
+            clone.dependence_matrix()
+        ));
+        // Filled through a clone: the original sees it too.
+        let other = SailingEngine::with_defaults().analyze(&store.snapshot());
+        let other_clone = other.clone();
+        assert!(std::ptr::eq(
+            other_clone.source_reports(),
+            other.source_reports()
+        ));
+        // Every memoised outcome shares the one pipeline result and
+        // repeats the fresh outcome's decisions.
+        let again = clone.fuse();
+        let shared = analysis.result_arc();
+        assert!(std::ptr::eq(fused.result(), &*shared));
+        assert!(std::ptr::eq(again.result(), &*shared));
+        assert_eq!(
+            again.decisions,
+            FusionOutcome::from_shared(shared, analysis.strategy_name()).decisions
+        );
     }
 
     #[test]
