@@ -425,11 +425,8 @@ mod tests {
     #[test]
     fn posterior_probabilities_are_coherent() {
         let (store, snap, probs, accs, params) = setup_table1();
-        for a in store.source_ids() {
-            for b in store.source_ids() {
-                if a >= b {
-                    continue;
-                }
+        for a in (0..store.num_sources()).map(SourceId::from_index) {
+            for b in (a.index() + 1..store.num_sources()).map(SourceId::from_index) {
                 let dep = detect_pair(&snap, a, b, &probs, &accs, &params).unwrap();
                 assert!((0.0..=1.0).contains(&dep.probability));
                 assert!((0.0..=1.0).contains(&dep.prob_a_on_b));

@@ -186,15 +186,6 @@ impl RatingView {
         }
         counts.iter().map(|c| c / total).collect()
     }
-
-    /// Mean rating of one item across all raters.
-    pub fn item_mean(&self, item: ObjectId) -> Option<f64> {
-        let rs = self.ratings_on(item);
-        if rs.is_empty() {
-            return None;
-        }
-        Some(rs.iter().map(|&(_, r)| r as f64).sum::<f64>() / rs.len() as f64)
-    }
 }
 
 /// How strongly a rater tracks the per-item consensus: the smoothed fraction
@@ -428,7 +419,12 @@ mod tests {
             view.shared_items(r1, store.source_id("R4").unwrap()).len(),
             3
         );
-        assert!((view.item_mean(pianist).unwrap() - 0.75).abs() < 1e-12);
+        let pianist_sum: u32 = view
+            .ratings_on(pianist)
+            .iter()
+            .map(|&(_, r)| r as u32)
+            .sum();
+        assert_eq!(pianist_sum, 3, "mean rating 0.75 over four raters");
     }
 
     #[test]

@@ -36,12 +36,6 @@ impl OverlapContrast {
         (self.overlap_accuracy - self.private_accuracy).abs()
     }
 
-    /// `true` when the contrast is significant at the given z threshold
-    /// (1.96 ≈ 5%).
-    pub fn is_significant(&self, z_threshold: f64) -> bool {
-        self.z_score.abs() >= z_threshold
-    }
-
     /// The contrast from one source's `(probability sum, item count)` over
     /// its shared and its private items, each sum taken in object order;
     /// `None` when either subset is empty.
@@ -184,7 +178,7 @@ mod tests {
             "copied (wrong) half must look less accurate: {c:?}"
         );
         assert!(c.contrast() > 0.3);
-        assert!(c.is_significant(1.96));
+        assert!(c.z_score.abs() >= 1.96, "significant at 5%: {c:?}");
         assert!(c.z_score < 0.0);
     }
 

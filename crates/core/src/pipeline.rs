@@ -121,11 +121,6 @@ impl Watchdog {
         self.detect_limit_cycles = true;
         self
     }
-
-    /// `true` when any protection is armed.
-    pub fn is_active(self) -> bool {
-        self.deadline.is_some() || self.detect_limit_cycles
-    }
 }
 
 /// Everything the pipeline learned about a snapshot.
@@ -1041,8 +1036,6 @@ mod tests {
         assert_eq!(plain.iterations, armed.iterations);
         assert_eq!(plain.accuracies, armed.accuracies);
         assert_eq!(plain.content_digest(), armed.content_digest());
-        assert!(!Watchdog::off().is_active());
-        assert!(Watchdog::off().limit_cycles().is_active());
     }
 
     /// Two disjoint source/object blocks. Block A: sources 0–2 over

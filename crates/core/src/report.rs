@@ -81,15 +81,6 @@ impl PairDependence {
         }
     }
 
-    /// The source this dependence says is the *original*, if resolved.
-    pub fn original_source(&self) -> Option<SourceId> {
-        match self.direction {
-            Direction::AOnB => Some(self.b),
-            Direction::BOnA => Some(self.a),
-            Direction::Unknown => None,
-        }
-    }
-
     /// `true` when the posterior crosses `threshold`.
     pub fn is_dependent(&self, threshold: f64) -> bool {
         self.probability >= threshold
@@ -155,11 +146,9 @@ mod tests {
     fn dependent_and_original() {
         let p = pd(1, 3);
         assert_eq!(p.dependent_source(), Some(SourceId(1)));
-        assert_eq!(p.original_source(), Some(SourceId(3)));
         let mut q = p.clone();
         q.direction = Direction::Unknown;
         assert_eq!(q.dependent_source(), None);
-        assert_eq!(q.original_source(), None);
     }
 
     #[test]

@@ -62,11 +62,6 @@ impl TemporalEvidence {
     pub fn median_lag_b_after_a(&self) -> Option<i64> {
         Self::median(&self.lags_b_after_a)
     }
-
-    /// Median lag with which `a` trails `b`.
-    pub fn median_lag_a_after_b(&self) -> Option<i64> {
-        Self::median(&self.lags_a_after_b)
-    }
 }
 
 /// How rare each `(object, value)` update is across the whole corpus:
@@ -408,7 +403,7 @@ mod tests {
         assert_eq!(ev.matched_b_after_a, 5);
         assert_eq!(ev.median_lag_b_after_a(), Some(1));
         assert_eq!(ev.matched_a_after_b, 0);
-        assert_eq!(ev.median_lag_a_after_b(), None);
+        assert!(ev.lags_a_after_b.is_empty());
     }
 
     #[test]

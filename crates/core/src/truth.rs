@@ -37,7 +37,7 @@ use serde::{Content, Deserialize, Error as SerdeError, Serialize};
 use sailing_model::{ObjectId, SnapshotView, SourceId, ValueId};
 
 use crate::params::DetectionParams;
-use crate::report::{Direction, PairDependence};
+use crate::report::PairDependence;
 
 /// Pairwise dependence posteriors in a form optimised for vote damping.
 ///
@@ -61,8 +61,8 @@ impl DependenceMatrix {
     ///
     /// For each pair the overall dependence probability is split between the
     /// two directions according to `prob_a_on_b`; an unresolved
-    /// [`Direction::Unknown`] therefore damps both sides halfway, which is
-    /// the conservative choice.
+    /// [`Direction::Unknown`](crate::report::Direction::Unknown) therefore
+    /// damps both sides halfway, which is the conservative choice.
     pub fn from_pairs(pairs: &[PairDependence]) -> Self {
         let mut directed = Vec::with_capacity(pairs.len() * 2);
         for p in pairs {
@@ -547,24 +547,10 @@ pub fn naive_probabilities(snapshot: &SnapshotView) -> ValueProbabilities {
     ValueProbabilities { offsets, arena }
 }
 
-/// Convenience: a matrix asserting a single certain dependence `s` on `t`.
-pub fn single_dependence(s: SourceId, t: SourceId) -> DependenceMatrix {
-    DependenceMatrix::from_pairs(&[PairDependence {
-        a: s,
-        b: t,
-        probability: 1.0,
-        prob_a_on_b: 1.0,
-        kind: crate::report::DependenceKind::Similarity,
-        direction: Direction::AOnB,
-        overlap: 0,
-        diagnostic: 0.0,
-    }])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::DependenceKind;
+    use crate::report::{DependenceKind, Direction};
     use sailing_model::fixtures;
     use sailing_model::Value;
 
@@ -682,7 +668,17 @@ mod tests {
 
     #[test]
     fn single_dependence_helper() {
-        let m = single_dependence(SourceId(4), SourceId(2));
+        // One certain dependence, S4 on S2.
+        let m = DependenceMatrix::from_pairs(&[PairDependence {
+            a: SourceId(4),
+            b: SourceId(2),
+            probability: 1.0,
+            prob_a_on_b: 1.0,
+            kind: DependenceKind::Similarity,
+            direction: Direction::AOnB,
+            overlap: 0,
+            diagnostic: 0.0,
+        }]);
         assert!((m.dep_on(SourceId(4), SourceId(2)) - 1.0).abs() < 1e-12);
         assert_eq!(m.dep_on(SourceId(2), SourceId(4)), 0.0);
     }

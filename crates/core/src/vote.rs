@@ -25,39 +25,6 @@ pub fn naive_vote(snapshot: &SnapshotView) -> HashMap<ObjectId, ValueId> {
     decisions
 }
 
-/// Vote shares per object: each observed value's fraction of the votes.
-///
-/// This is the naive "probability" a dependence-unaware system would attach
-/// to each conflicting value.
-pub fn naive_distribution(snapshot: &SnapshotView) -> HashMap<ObjectId, Vec<(ValueId, f64)>> {
-    let mut out = HashMap::new();
-    for idx in 0..snapshot.num_objects() {
-        let object = ObjectId::from_index(idx);
-        let counts = snapshot.value_counts(object);
-        let total: usize = counts.iter().map(|&(_, c)| c).sum();
-        if total == 0 {
-            continue;
-        }
-        out.insert(
-            object,
-            counts
-                .into_iter()
-                .map(|(v, c)| (v, c as f64 / total as f64))
-                .collect(),
-        );
-    }
-    out
-}
-
-/// Objects on which naive voting is *not* unanimous — the conflicts the
-/// paper is about.
-pub fn conflicted_objects(snapshot: &SnapshotView) -> Vec<ObjectId> {
-    (0..snapshot.num_objects())
-        .map(ObjectId::from_index)
-        .filter(|&o| snapshot.distinct_values(o) > 1)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,10 +65,12 @@ mod tests {
 
     #[test]
     fn naive_distribution_sums_to_one() {
+        // The naive vote shares are `truth::naive_probabilities`.
         let (store, _) = fixtures::table1();
-        let dist = naive_distribution(&store.snapshot());
+        let dist = crate::truth::naive_probabilities(&store.snapshot());
         assert_eq!(dist.len(), 5);
-        for shares in dist.values() {
+        for o in dist.objects() {
+            let shares = dist.distribution(o);
             let total: f64 = shares.iter().map(|&(_, p)| p).sum();
             assert!((total - 1.0).abs() < 1e-9);
             assert!(shares.windows(2).all(|w| w[0].1 >= w[1].1));
@@ -111,7 +80,11 @@ mod tests {
     #[test]
     fn conflicted_objects_on_table1() {
         let (store, _) = fixtures::table1();
-        let conflicts = conflicted_objects(&store.snapshot());
+        let snap = store.snapshot();
+        let conflicts: Vec<ObjectId> = (0..snap.num_objects())
+            .map(ObjectId::from_index)
+            .filter(|&o| snap.distinct_values(o) > 1)
+            .collect();
         // Balazinska is unanimous (UW everywhere); the other four conflict.
         assert_eq!(conflicts.len(), 4);
         let bal = store.object_id("Balazinska").unwrap();
@@ -122,7 +95,5 @@ mod tests {
     fn empty_snapshot() {
         let snap = SnapshotView::from_triples(0, 0, Vec::new());
         assert!(naive_vote(&snap).is_empty());
-        assert!(naive_distribution(&snap).is_empty());
-        assert!(conflicted_objects(&snap).is_empty());
     }
 }

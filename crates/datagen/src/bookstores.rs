@@ -82,14 +82,6 @@ impl BookCorpusConfig {
             seed,
         }
     }
-
-    /// Number of within-cluster pairs this configuration plants.
-    pub fn planted_pair_count(&self) -> usize {
-        self.copier_cluster_sizes
-            .iter()
-            .map(|&k| k * k.saturating_sub(1) / 2)
-            .sum()
-    }
 }
 
 /// One book with its true bibliographic data.
@@ -659,7 +651,12 @@ mod tests {
         assert_eq!(c.target_listings, 24_364);
         assert_eq!(c.max_store_coverage, 1_095);
         assert_eq!(c.min_shared_books, 10);
-        assert_eq!(c.planted_pair_count(), 471);
+        let planted_pairs: usize = c
+            .copier_cluster_sizes
+            .iter()
+            .map(|&k| k * (k - 1) / 2)
+            .sum();
+        assert_eq!(planted_pairs, 471);
     }
 
     #[test]

@@ -292,7 +292,6 @@ mod tests {
         let (config, _) = table3_style(50, 2, 9);
         let w1 = TemporalWorld::generate(&config);
         let w2 = TemporalWorld::generate(&config);
-        assert_eq!(w1.history.num_updates(), w2.history.num_updates());
         let ups1: Vec<_> = w1.history.all_updates().collect();
         let ups2: Vec<_> = w2.history.all_updates().collect();
         assert_eq!(ups1.len(), ups2.len());

@@ -191,11 +191,6 @@ impl VariantWorld {
             config: config.clone(),
         }
     }
-
-    /// Number of objects whose candidates are numeric strings.
-    pub fn num_numeric_objects(&self) -> usize {
-        (self.config.num_objects as f64 * self.config.numeric_fraction).round() as usize
-    }
 }
 
 fn is_numeric_object(num_numeric: usize, o: usize) -> bool {

@@ -44,11 +44,6 @@ pub enum SourceBehavior {
 }
 
 impl SourceBehavior {
-    /// `true` for copier behaviours.
-    pub fn is_copier(&self) -> bool {
-        matches!(self, SourceBehavior::Copier { .. })
-    }
-
     /// The copied source's index, for copiers.
     pub fn original(&self) -> Option<usize> {
         match self {
@@ -576,13 +571,11 @@ mod tests {
             own_accuracy: 0.5,
             own_coverage: 0,
         };
-        assert!(c.is_copier());
         assert_eq!(c.original(), Some(2));
         let i = SourceBehavior::Independent {
             accuracy: 0.9,
             coverage: 10,
         };
-        assert!(!i.is_copier());
         assert_eq!(i.original(), None);
     }
 }

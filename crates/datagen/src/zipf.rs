@@ -48,18 +48,6 @@ impl Zipf {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// The probability of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k >= self.cdf.len() {
-            return 0.0;
-        }
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
-    }
 }
 
 /// Deterministically scales raw Zipf weights to per-source coverage counts
@@ -81,15 +69,26 @@ pub fn coverage_counts(n: usize, s: f64, target_total: usize, max_each: usize) -
 mod tests {
     use super::*;
 
+    /// The probability of each rank: the steps of the CDF.
+    fn pmf(z: &Zipf) -> Vec<f64> {
+        let mut prev = 0.0;
+        z.cdf
+            .iter()
+            .map(|&c| {
+                let p = c - prev;
+                prev = c;
+                p
+            })
+            .collect()
+    }
+
     #[test]
     fn pmf_sums_to_one_and_is_monotone() {
         let z = Zipf::new(100, 1.0);
-        let total: f64 = (0..100).map(|k| z.pmf(k)).sum();
+        let pmf = pmf(&z);
+        let total: f64 = pmf.iter().sum();
         assert!((total - 1.0).abs() < 1e-9);
-        for k in 1..100 {
-            assert!(z.pmf(k) <= z.pmf(k - 1) + 1e-12);
-        }
-        assert_eq!(z.pmf(100), 0.0);
+        assert!(pmf.windows(2).all(|w| w[1] <= w[0] + 1e-12));
         assert_eq!(z.len(), 100);
         assert!(!z.is_empty());
     }
@@ -97,8 +96,8 @@ mod tests {
     #[test]
     fn uniform_when_s_zero() {
         let z = Zipf::new(10, 0.0);
-        for k in 0..10 {
-            assert!((z.pmf(k) - 0.1).abs() < 1e-9);
+        for p in pmf(&z) {
+            assert!((p - 0.1).abs() < 1e-9);
         }
     }
 

@@ -24,4 +24,4 @@ pub mod strategy;
 pub use probdb::ProbabilisticDatabase;
 pub use ratings::{aggregate_ratings, RatingAggregate};
 pub use sailing_core::SailingError;
-pub use strategy::{fuse, fuse_warm, fuse_with, FusionOutcome, FusionStrategy};
+pub use strategy::{fuse, fuse_with, FusionOutcome, FusionStrategy};

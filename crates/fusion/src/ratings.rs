@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use sailing_core::dissim::{detect_all, DissimParams, RatingView};
 use sailing_core::report::PairDependence;
-use sailing_model::{ObjectId, SourceId};
+use sailing_model::ObjectId;
 
 /// Aggregated ratings with and without dependence awareness.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -26,24 +26,6 @@ pub struct RatingAggregate {
 }
 
 impl RatingAggregate {
-    /// Mean absolute difference between the two aggregates over items where
-    /// both exist — how much the bias moved the naive consensus.
-    pub fn mean_shift(&self) -> f64 {
-        let mut total = 0.0;
-        let mut n = 0usize;
-        for (a, b) in self.naive_mean.iter().zip(&self.aware_mean) {
-            if let (Some(a), Some(b)) = (a, b) {
-                total += (a - b).abs();
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            total / n as f64
-        }
-    }
-
     /// Mean squared error of an aggregate against a reference consensus.
     pub fn mse_against(values: &[Option<f64>], reference: &[Option<f64>]) -> f64 {
         let mut total = 0.0;
@@ -118,24 +100,6 @@ pub fn aggregate_ratings(view: &RatingView, params: &DissimParams) -> RatingAggr
     }
 }
 
-/// The rating a dependence-aware recommender would show for one item, on
-/// the original scale.
-pub fn aware_rating(aggregate: &RatingAggregate, item: ObjectId) -> Option<f64> {
-    aggregate.aware_mean.get(item.index()).copied().flatten()
-}
-
-/// Raters whose weight fell below `threshold` — the ones a recommendation
-/// system should treat as non-independent.
-pub fn discounted_raters(aggregate: &RatingAggregate, threshold: f64) -> Vec<SourceId> {
-    aggregate
-        .rater_weights
-        .iter()
-        .enumerate()
-        .filter(|&(_, &w)| w < threshold)
-        .map(|(i, _)| SourceId::from_index(i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,7 +131,7 @@ mod tests {
             agg.rater_weights
         );
         // And the aggregate visibly shifts (Example 2.2's point).
-        assert!(agg.mean_shift() > 0.0);
+        assert!(RatingAggregate::mse_against(&agg.naive_mean, &agg.aware_mean) > 0.0);
     }
 
     #[test]
@@ -207,7 +171,8 @@ mod tests {
         let config = inverter_world(100, 5, 0, 3);
         let world = RatingWorld::generate(&config);
         let agg = aggregate_ratings(&world.view, &DissimParams::default());
-        assert!(agg.mean_shift() < 0.1, "shift {}", agg.mean_shift());
+        let shift = RatingAggregate::mse_against(&agg.naive_mean, &agg.aware_mean);
+        assert!(shift < 0.01, "squared shift {shift}");
     }
 
     #[test]
@@ -215,11 +180,10 @@ mod tests {
         let config = inverter_world(300, 8, 1, 5);
         let world = RatingWorld::generate(&config);
         let agg = aggregate_ratings(&world.view, &DissimParams::default());
-        let discounted = discounted_raters(&agg, 0.3);
-        assert!(discounted.contains(&SourceId(9)));
-        assert!(!discounted.contains(&SourceId(0)));
-        assert!(aware_rating(&agg, ObjectId(0)).is_some());
-        assert_eq!(aware_rating(&agg, ObjectId(5000)), None);
+        // The inverter (rater 9) falls below 0.3; a follower does not.
+        assert!(agg.rater_weights[9] < 0.3);
+        assert!(agg.rater_weights[0] >= 0.3);
+        assert!(agg.aware_mean[0].is_some());
     }
 
     #[test]
@@ -227,6 +191,6 @@ mod tests {
         let view = RatingView::from_triples(0, 0, 2, Vec::new());
         let agg = aggregate_ratings(&view, &DissimParams::default());
         assert!(agg.naive_mean.is_empty());
-        assert_eq!(agg.mean_shift(), 0.0);
+        assert!(agg.aware_mean.is_empty());
     }
 }

@@ -191,17 +191,6 @@ pub fn fuse_with(snapshot: &SnapshotView, discovery: &dyn TruthDiscovery) -> Fus
     FusionOutcome::from_result(discovery.discover(snapshot), discovery.name())
 }
 
-/// Runs fusion warm-started from a previous epoch's discovery result —
-/// the per-epoch driver a timeline walk uses. With `prior = None` this is
-/// [`fuse_with`].
-pub fn fuse_warm(
-    snapshot: &SnapshotView,
-    discovery: &dyn TruthDiscovery,
-    prior: Option<&PipelineResult>,
-) -> FusionOutcome {
-    FusionOutcome::from_result(discovery.run_warm(snapshot, prior), discovery.name())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,12 +271,15 @@ mod tests {
         let snap = store.snapshot();
         let strategy = AccuCopy::with_defaults();
         let cold = fuse_with(&snap, &strategy);
-        let warm = fuse_warm(&snap, &strategy, Some(cold.result()));
+        // A warm-started fusion is `from_result` over `run_warm`.
+        let fuse_warm =
+            |prior| FusionOutcome::from_result(strategy.run_warm(&snap, prior), strategy.name());
+        let warm = fuse_warm(Some(cold.result()));
         assert_eq!(warm.decisions, cold.decisions);
         assert!(warm.result().iterations < cold.result().iterations);
         assert_eq!(truth.decision_precision(&warm.decisions), Some(1.0));
         // No prior → exactly the cold driver.
-        let none = fuse_warm(&snap, &strategy, None);
+        let none = fuse_warm(None);
         assert_eq!(none.result().iterations, cold.result().iterations);
     }
 

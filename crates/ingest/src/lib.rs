@@ -114,32 +114,6 @@ impl SealPolicy {
         }
     }
 
-    /// Seal once the open tail spans `span` timestamp units.
-    pub fn after_span(span: i64) -> Self {
-        Self {
-            max_events: None,
-            max_span: Some(span.max(1)),
-        }
-    }
-
-    /// Adds an event-count trigger to this policy.
-    #[must_use]
-    pub fn or_after_events(self, n: usize) -> Self {
-        Self {
-            max_events: Some(n.max(1)),
-            ..self
-        }
-    }
-
-    /// Adds a timestamp-span trigger to this policy.
-    #[must_use]
-    pub fn or_after_span(self, span: i64) -> Self {
-        Self {
-            max_span: Some(span.max(1)),
-            ..self
-        }
-    }
-
     /// Whether an open tail of `events` is due for sealing.
     fn due(&self, events: &[IngestEvent]) -> bool {
         if events.is_empty() {
@@ -613,7 +587,10 @@ mod tests {
         assert_eq!(delta.len(), 3);
         assert!(by_count.open_events().is_empty());
 
-        let mut by_span = ClaimLog::in_memory(SealPolicy::after_span(10));
+        let mut by_span = ClaimLog::in_memory(SealPolicy {
+            max_span: Some(10),
+            ..SealPolicy::manual()
+        });
         fill(&mut by_span, &[(0, 0, Some(1), 100), (0, 1, Some(2), 105)]);
         assert!(by_span.poll_seal().is_none(), "span 5 < 10");
         fill(&mut by_span, &[(0, 2, Some(3), 110)]);
@@ -631,7 +608,10 @@ mod tests {
         // Regression: the span used to be `last.ts - first.ts`, so a tail
         // whose newest event carried an *older* timestamp read as span 0
         // and span-based sealing stalled indefinitely.
-        let mut log = ClaimLog::in_memory(SealPolicy::after_span(10));
+        let mut log = ClaimLog::in_memory(SealPolicy {
+            max_span: Some(10),
+            ..SealPolicy::manual()
+        });
         fill(&mut log, &[(0, 0, Some(1), 110), (0, 1, Some(2), 105)]);
         assert!(log.poll_seal().is_none(), "span 5 < 10");
         // Third event is older than both: min/max span is now 110-100=10.

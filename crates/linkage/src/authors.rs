@@ -178,8 +178,9 @@ impl AuthorList {
 /// Parses a raw author-list string.
 ///
 /// Accepts `";"`-separated lists, `"and"`/`"&"` conjunctions, and
-/// `","`-separated lists (disambiguating the `"Last, First"` comma by
-/// pairing tokens when every comma-piece is a single word).
+/// `","`-separated lists. A comma list whose every other piece is a single
+/// word reads as `"Last, First"` pairs, which this parser does not split:
+/// it returns an empty list.
 pub fn parse_author_list(raw: &str) -> AuthorList {
     let raw = raw.trim();
     if raw.is_empty() {
@@ -201,8 +202,8 @@ pub fn parse_author_list(raw: &str) -> AuthorList {
 }
 
 /// Splits on commas, except when the comma pattern looks like
-/// `"Last, First"` pairs (alternating single pieces), in which case pairs are
-/// rejoined.
+/// `"Last, First"` pairs (alternating single pieces), in which case it
+/// returns no pieces.
 fn split_commas(s: &str) -> Vec<&str> {
     if !s.contains(',') {
         return vec![s];
@@ -217,40 +218,10 @@ fn split_commas(s: &str) -> Vec<&str> {
             .step_by(2)
             .all(|p| p.split_whitespace().count() == 1);
     if looks_paired {
-        // Leak-free pair join: return slices of the original by re-splitting
-        // is awkward; simplest is to allocate — but callers only need parsed
-        // names, so rebuild via AuthorName::parse on joined strings.
-        // Handled by the caller through `parse_paired`.
         Vec::new()
     } else {
         pieces
     }
-}
-
-impl AuthorList {
-    /// Parses `"Last1, First1, Last2, First2"` pair-style lists.
-    fn parse_paired(s: &str) -> Option<AuthorList> {
-        let pieces: Vec<&str> = s.split(',').map(str::trim).collect();
-        if !pieces.len().is_multiple_of(2) || pieces.is_empty() {
-            return None;
-        }
-        let mut authors = Vec::with_capacity(pieces.len() / 2);
-        for pair in pieces.chunks(2) {
-            let joined = format!("{}, {}", pair[0], pair[1]);
-            authors.push(AuthorName::parse(&joined)?);
-        }
-        Some(AuthorList { authors })
-    }
-}
-
-/// Full parse entry point handling the paired-comma case.
-pub fn parse_author_list_smart(raw: &str) -> AuthorList {
-    let direct = parse_author_list(raw);
-    if !direct.is_empty() {
-        return direct;
-    }
-    let unified = raw.trim();
-    AuthorList::parse_paired(unified).unwrap_or(direct)
 }
 
 #[cfg(test)]
@@ -315,14 +286,6 @@ mod tests {
     fn parse_comma_list() {
         let l = parse_author_list("Hector Garcia-Molina, Jeffrey Ullman, Jennifer Widom");
         assert_eq!(l.len(), 3);
-    }
-
-    #[test]
-    fn parse_paired_comma_list() {
-        let l = parse_author_list_smart("Ullman, Jeffrey, Widom, Jennifer");
-        assert_eq!(l.len(), 2);
-        assert_eq!(l.authors[0].surname, "ullman");
-        assert_eq!(l.authors[0].given, vec!["jeffrey"]);
     }
 
     #[test]

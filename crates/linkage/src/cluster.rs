@@ -65,11 +65,6 @@ impl UnionFind {
         true
     }
 
-    /// `true` when `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
-
     /// Materialises the clusters, each sorted, ordered by smallest member.
     pub fn clusters(&mut self) -> Vec<Vec<usize>> {
         let n = self.len();
@@ -108,33 +103,6 @@ where
     uf.clusters()
 }
 
-/// Picks a canonical representative per cluster: the index of the value most
-/// similar to all others in its cluster (the medoid).
-pub fn medoids<T, F>(values: &[T], clusters: &[Vec<usize>], similarity: F) -> Vec<usize>
-where
-    F: Fn(&T, &T) -> f64,
-{
-    clusters
-        .iter()
-        .map(|cluster| {
-            *cluster
-                .iter()
-                .max_by(|&&i, &&j| {
-                    let si: f64 = cluster
-                        .iter()
-                        .map(|&k| similarity(&values[i], &values[k]))
-                        .sum();
-                    let sj: f64 = cluster
-                        .iter()
-                        .map(|&k| similarity(&values[j], &values[k]))
-                        .sum();
-                    si.total_cmp(&sj).then(j.cmp(&i))
-                })
-                .unwrap()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,8 +116,8 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(uf.union(1, 2));
         assert!(!uf.union(0, 2), "already merged");
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(0, 3));
+        assert_eq!(uf.find(0), uf.find(2));
+        assert_ne!(uf.find(0), uf.find(3));
         let clusters = uf.clusters();
         assert_eq!(clusters, vec![vec![0, 1, 2], vec![3], vec![4]]);
     }
@@ -205,16 +173,6 @@ mod tests {
         let values = ["a", "b", "c"];
         let clusters = cluster_values(&values, 0.9, sim);
         assert_eq!(clusters.len(), 1);
-    }
-
-    #[test]
-    fn medoid_picks_central_value() {
-        let values = ["color", "colour", "couleur"];
-        let clusters = vec![vec![0, 1, 2]];
-        let m = medoids(&values, &clusters, |a, b| jaro_winkler(a, b));
-        assert_eq!(m.len(), 1);
-        // The outlier spelling must not be the representative.
-        assert_ne!(values[m[0]], "couleur");
     }
 
     #[test]

@@ -27,15 +27,6 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
     prev[b.len()]
 }
 
-/// Levenshtein similarity: `1 − dist / max_len`.
-pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 1.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
 /// Jaro similarity.
 pub fn jaro(a: &str, b: &str) -> f64 {
     let a: Vec<char> = a.chars().collect();
@@ -164,15 +155,6 @@ mod tests {
     fn levenshtein_unicode() {
         assert_eq!(levenshtein("Équille", "Equille"), 1);
         assert_eq!(levenshtein("Dong", "Đong"), 1);
-    }
-
-    #[test]
-    fn levenshtein_similarity_range() {
-        assert_eq!(levenshtein_similarity("", ""), 1.0);
-        assert_eq!(levenshtein_similarity("abc", "abc"), 1.0);
-        assert_eq!(levenshtein_similarity("abc", "xyz"), 0.0);
-        let s = levenshtein_similarity("Xin Dong", "Xing Dong");
-        assert!(s > 0.8 && s < 1.0);
     }
 
     #[test]

@@ -54,18 +54,6 @@ impl Claim {
             probability: 1.0,
         }
     }
-
-    /// Replaces the probability, clamping into `[0, 1]`.
-    #[must_use]
-    pub fn with_probability(mut self, p: f64) -> Self {
-        self.probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// `true` if this claim carries temporal information.
-    pub fn is_timed(&self) -> bool {
-        self.time.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -81,7 +69,6 @@ mod tests {
         let (s, o, v) = ids();
         let c = Claim::snapshot(s, o, v);
         assert_eq!(c.time, None);
-        assert!(!c.is_timed());
         assert_eq!(c.probability, 1.0);
     }
 
@@ -90,30 +77,15 @@ mod tests {
         let (s, o, v) = ids();
         let c = Claim::timed(s, o, v, 2007);
         assert_eq!(c.time, Some(2007));
-        assert!(c.is_timed());
-    }
-
-    #[test]
-    fn with_probability_clamps() {
-        let (s, o, v) = ids();
-        assert_eq!(
-            Claim::snapshot(s, o, v).with_probability(0.4).probability,
-            0.4
-        );
-        assert_eq!(
-            Claim::snapshot(s, o, v).with_probability(1.7).probability,
-            1.0
-        );
-        assert_eq!(
-            Claim::snapshot(s, o, v).with_probability(-0.2).probability,
-            0.0
-        );
     }
 
     #[test]
     fn serde_roundtrip() {
         let (s, o, v) = ids();
-        let c = Claim::timed(s, o, v, -5).with_probability(0.25);
+        let c = Claim {
+            probability: 0.25,
+            ..Claim::timed(s, o, v, -5)
+        };
         let json = serde_json::to_string(&c).unwrap();
         let back: Claim = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);

@@ -19,19 +19,6 @@ pub enum SailingError {
         /// The offending name.
         name: String,
     },
-    /// A claim referenced an id that was never issued.
-    UnknownId {
-        /// Which catalog the id belongs to.
-        kind: &'static str,
-        /// The raw id value.
-        id: u32,
-    },
-    /// A probability outside `[0, 1]` was supplied where clamping is not
-    /// appropriate (e.g. explicit distribution input).
-    InvalidProbability(
-        /// The offending probability.
-        f64,
-    ),
     /// A temporal operation was requested on data without timestamps.
     MissingTemporalInfo {
         /// Human-readable context for the failed operation.
@@ -140,10 +127,6 @@ impl fmt::Display for SailingError {
             SailingError::UnknownName { kind, name } => {
                 write!(f, "unknown {kind} name: {name:?}")
             }
-            SailingError::UnknownId { kind, id } => write!(f, "unknown {kind} id: {id}"),
-            SailingError::InvalidProbability(p) => {
-                write!(f, "probability {p} outside [0, 1]")
-            }
             SailingError::MissingTemporalInfo { context } => {
                 write!(f, "temporal information required but missing: {context}")
             }
@@ -191,15 +174,6 @@ mod tests {
         assert!(e.to_string().contains("source"));
         assert!(e.to_string().contains("S9"));
 
-        assert!(SailingError::UnknownId {
-            kind: "object",
-            id: 7
-        }
-        .to_string()
-        .contains('7'));
-        assert!(SailingError::InvalidProbability(1.5)
-            .to_string()
-            .contains("1.5"));
         assert!(SailingError::MissingTemporalInfo { context: "history" }
             .to_string()
             .contains("history"));
@@ -225,23 +199,23 @@ mod tests {
     fn into_deferred_relabels_only_persist() {
         let deferred = SailingError::persist("/store/a.sail", "io").into_deferred();
         assert!(matches!(deferred, SailingError::PersistDeferred { .. }));
-        let other = SailingError::InvalidProbability(2.0).into_deferred();
-        assert_eq!(other, SailingError::InvalidProbability(2.0));
+        let other = SailingError::config("WorldConfig", "no sources").into_deferred();
+        assert_eq!(other, SailingError::config("WorldConfig", "no sources"));
     }
 
     #[test]
     fn is_std_error() {
         fn assert_err<E: std::error::Error>(_: &E) {}
-        assert_err(&SailingError::InvalidProbability(2.0));
+        assert_err(&SailingError::param_outside_unit("copy_rate", 2.0));
     }
 
     #[test]
     fn model_error_alias_matches() {
         // The legacy alias stays pattern-matchable.
-        let e: ModelError = SailingError::UnknownId {
+        let e: ModelError = SailingError::UnknownName {
             kind: "value",
-            id: 3,
+            name: "v3".into(),
         };
-        assert!(matches!(e, ModelError::UnknownId { kind: "value", .. }));
+        assert!(matches!(e, ModelError::UnknownName { kind: "value", .. }));
     }
 }

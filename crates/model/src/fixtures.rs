@@ -227,8 +227,11 @@ mod tests {
         let r1 = store.source_id("R1").unwrap();
         let r4 = store.source_id("R4").unwrap();
         for (o, v1, v4) in snap.overlap(r1, r4) {
-            let r1v = store.value(v1).unwrap().as_rating().unwrap();
-            let r4v = store.value(v4).unwrap().as_rating().unwrap();
+            let (Some(&Value::Rating(r1v)), Some(&Value::Rating(r4v))) =
+                (store.value(v1), store.value(v4))
+            else {
+                panic!("Table 2 holds ratings only");
+            };
             assert_eq!(
                 r4v,
                 2 - r1v,
@@ -251,7 +254,7 @@ mod tests {
         let (store, history, truth) = table3();
         assert_eq!(store.num_sources(), 3);
         assert_eq!(store.num_objects(), 5);
-        assert_eq!(history.num_updates(), 24);
+        assert_eq!(history.all_updates().count(), 24);
         assert_eq!(truth.len(), 5);
         assert_eq!(truth.horizon(), Some(2007));
     }

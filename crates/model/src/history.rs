@@ -192,15 +192,6 @@ impl History {
         self.traces.get(source.index()).map_or(0, HashMap::len)
     }
 
-    /// Total updates across all sources and objects.
-    pub fn num_updates(&self) -> usize {
-        self.traces
-            .iter()
-            .flat_map(|m| m.values())
-            .map(UpdateTrace::len)
-            .sum()
-    }
-
     /// All distinct timestamps at which *any* source updates *any* object,
     /// ascending — the history's **change points**. Consecutive change
     /// points delimit the epochs of the timeline: the materialised snapshot
@@ -354,7 +345,7 @@ mod tests {
         assert_eq!(h.trace(s3, dong).unwrap().len(), 1);
         // untimed claim ignored
         assert_eq!(h.coverage(s3), 1);
-        assert_eq!(h.num_updates(), 4);
+        assert_eq!(h.all_updates().count(), 4);
     }
 
     #[test]

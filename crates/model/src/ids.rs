@@ -62,8 +62,7 @@ define_id! {
     ///
     /// For relational data this typically encapsulates
     /// `(table, record, attribute)`; the encapsulated description lives in the
-    /// object [`Catalog`] as the interned name (see
-    /// [`object_key`]).
+    /// object [`Catalog`] as the interned name.
     ObjectId
 }
 
@@ -74,31 +73,6 @@ define_id! {
     /// equal, which makes agreement counting in dependence detection a `u32`
     /// comparison.
     ValueId
-}
-
-/// Builds the canonical interning key for a relational cell identifier.
-///
-/// The paper notes that when the asserted value is a cell value, the
-/// identifier encapsulates table name, record identifier, and column name.
-/// `object_key("affiliation", "Dong", Some("employer"))` produces a stable
-/// string key for the catalog; pass `None` for tuple-level identifiers.
-pub fn object_key(table: &str, record: &str, attribute: Option<&str>) -> String {
-    match attribute {
-        Some(attr) => format!("{table}\u{1f}{record}\u{1f}{attr}"),
-        None => format!("{table}\u{1f}{record}"),
-    }
-}
-
-/// Splits a key produced by [`object_key`] back into its components.
-///
-/// Returns `(table, record, attribute)`. Keys not produced by [`object_key`]
-/// come back as `(key, "", None)`.
-pub fn split_object_key(key: &str) -> (&str, &str, Option<&str>) {
-    let mut parts = key.split('\u{1f}');
-    let table = parts.next().unwrap_or(key);
-    let record = parts.next().unwrap_or("");
-    let attribute = parts.next();
-    (table, record, attribute)
 }
 
 /// An interning table mapping names of type `K` to dense ids of type `I`.
@@ -213,11 +187,6 @@ macro_rules! typed_catalog {
                     .enumerate()
                     .map(|(i, k)| (<$id>::from_index(i), k))
             }
-
-            /// All ids issued so far, in order.
-            pub fn ids(&self) -> impl Iterator<Item = $id> + '_ {
-                (0..self.names.len()).map(<$id>::from_index)
-            }
         }
     };
 }
@@ -259,7 +228,7 @@ mod tests {
             let id = c.intern(&format!("v{i}"));
             assert_eq!(id.index(), i);
         }
-        let ids: Vec<_> = c.ids().collect();
+        let ids: Vec<_> = c.entries().map(|(id, _)| id).collect();
         assert_eq!(ids.len(), 10);
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
     }
@@ -271,22 +240,6 @@ mod tests {
         c.intern(&"s2".to_string());
         let entries: Vec<_> = c.entries().map(|(id, n)| (id.index(), n.clone())).collect();
         assert_eq!(entries, vec![(0, "s1".to_string()), (1, "s2".to_string())]);
-    }
-
-    #[test]
-    fn object_key_roundtrip() {
-        let key = object_key("affil", "Dong", Some("employer"));
-        let (t, r, a) = split_object_key(&key);
-        assert_eq!((t, r, a), ("affil", "Dong", Some("employer")));
-
-        let key = object_key("affil", "Dong", None);
-        let (t, r, a) = split_object_key(&key);
-        assert_eq!((t, r, a), ("affil", "Dong", None));
-    }
-
-    #[test]
-    fn split_tolerates_foreign_keys() {
-        assert_eq!(split_object_key("plain"), ("plain", "", None));
     }
 
     #[test]

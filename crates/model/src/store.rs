@@ -47,7 +47,6 @@ use serde::{Content, Deserialize, Error as SerdeError, Serialize};
 use crate::claim::{Claim, Timestamp};
 use crate::delta::Delta;
 use crate::equivalence::{ValueEquivalence, ValueQuotient};
-use crate::error::ModelError;
 use crate::ids::{Catalog, ObjectId, SourceId};
 use crate::value::{Value, ValueId};
 
@@ -105,52 +104,8 @@ impl ClaimStoreBuilder {
         self
     }
 
-    /// Adds a fully specified claim with pre-interned ids.
-    ///
-    /// # Errors
-    /// Returns [`ModelError::UnknownId`] if any id was not issued by this
-    /// builder, and [`ModelError::InvalidProbability`] for probabilities
-    /// outside `[0, 1]`.
-    pub fn add_claim(&mut self, claim: Claim) -> Result<&mut Self, ModelError> {
-        if claim.source.index() >= self.sources.len() {
-            return Err(ModelError::UnknownId {
-                kind: "source",
-                id: claim.source.0,
-            });
-        }
-        if claim.object.index() >= self.objects.len() {
-            return Err(ModelError::UnknownId {
-                kind: "object",
-                id: claim.object.0,
-            });
-        }
-        if claim.value.index() >= self.values.len() {
-            return Err(ModelError::UnknownId {
-                kind: "value",
-                id: claim.value.0,
-            });
-        }
-        if !(0.0..=1.0).contains(&claim.probability) {
-            return Err(ModelError::InvalidProbability(claim.probability));
-        }
-        self.claims.push(claim);
-        Ok(self)
-    }
-
-    /// Number of claims added so far.
-    pub fn claim_count(&self) -> usize {
-        self.claims.len()
-    }
-
     /// Finalises the store, building all indexes.
     pub fn build(self) -> ClaimStore {
-        let mut by_source: Vec<Vec<u32>> = vec![Vec::new(); self.sources.len()];
-        let mut by_object: Vec<Vec<u32>> = vec![Vec::new(); self.objects.len()];
-        for (i, c) in self.claims.iter().enumerate() {
-            let i = i as u32;
-            by_source[c.source.index()].push(i);
-            by_object[c.object.index()].push(i);
-        }
         // Materialise the value arena once; every snapshot taken from this
         // store shares it by `Arc`, which is what lets
         // [`SnapshotView::quotient`] partition values without a catalog in
@@ -161,8 +116,6 @@ impl ClaimStoreBuilder {
             objects: self.objects,
             values: self.values,
             claims: self.claims,
-            by_source,
-            by_object,
             value_arena,
         }
     }
@@ -175,8 +128,6 @@ pub struct ClaimStore {
     objects: Catalog<String, ObjectId>,
     values: Catalog<Value, ValueId>,
     claims: Vec<Claim>,
-    by_source: Vec<Vec<u32>>,
-    by_object: Vec<Vec<u32>>,
     /// The interned values in id order, shared with every snapshot.
     value_arena: Arc<Vec<Value>>,
 }
@@ -207,16 +158,6 @@ impl ClaimStore {
         &self.claims
     }
 
-    /// All source ids.
-    pub fn source_ids(&self) -> impl Iterator<Item = SourceId> + '_ {
-        self.sources.ids()
-    }
-
-    /// All object ids.
-    pub fn object_ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.objects.ids()
-    }
-
     /// The name behind a source id.
     pub fn source_name(&self, id: SourceId) -> Option<&str> {
         self.sources.name(id).map(String::as_str)
@@ -245,24 +186,6 @@ impl ClaimStore {
     /// Looks up a value id for an exact value.
     pub fn value_id(&self, value: &Value) -> Option<ValueId> {
         self.values.lookup(value)
-    }
-
-    /// Claims asserted by `source`, in insertion order.
-    pub fn claims_of_source(&self, source: SourceId) -> impl Iterator<Item = &Claim> {
-        self.by_source
-            .get(source.index())
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.claims[i as usize])
-    }
-
-    /// Claims about `object`, in insertion order.
-    pub fn claims_on_object(&self, object: ObjectId) -> impl Iterator<Item = &Claim> {
-        self.by_object
-            .get(object.index())
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.claims[i as usize])
     }
 
     /// Builds the snapshot view: the most recent claim per `(source, object)`.
@@ -908,6 +831,14 @@ mod tests {
         b.build()
     }
 
+    fn source_ids(store: &ClaimStore) -> impl Iterator<Item = SourceId> {
+        (0..store.num_sources()).map(SourceId::from_index)
+    }
+
+    fn object_ids(store: &ClaimStore) -> impl Iterator<Item = ObjectId> {
+        (0..store.num_objects()).map(ObjectId::from_index)
+    }
+
     #[test]
     fn builder_interns_and_counts() {
         let store = sample_store();
@@ -927,44 +858,6 @@ mod tests {
         let uw = store.value_id(&Value::text("UW")).unwrap();
         assert_eq!(store.value(uw), Some(&Value::text("UW")));
         assert_eq!(store.source_id("nope"), None);
-    }
-
-    #[test]
-    fn per_source_and_per_object_indexes() {
-        let store = sample_store();
-        let s2 = store.source_id("S2").unwrap();
-        assert_eq!(store.claims_of_source(s2).count(), 2);
-        let dong = store.object_id("Dong").unwrap();
-        assert_eq!(store.claims_on_object(dong).count(), 3);
-    }
-
-    #[test]
-    fn add_claim_validates_ids_and_probability() {
-        let mut b = ClaimStoreBuilder::new();
-        let s = b.source("S1");
-        let o = b.object("Dong");
-        let v = b.value(&Value::text("UW"));
-        assert!(b.add_claim(Claim::snapshot(s, o, v)).is_ok());
-        assert!(matches!(
-            b.add_claim(Claim::snapshot(SourceId(9), o, v)),
-            Err(ModelError::UnknownId { kind: "source", .. })
-        ));
-        assert!(matches!(
-            b.add_claim(Claim::snapshot(s, ObjectId(9), v)),
-            Err(ModelError::UnknownId { kind: "object", .. })
-        ));
-        assert!(matches!(
-            b.add_claim(Claim::snapshot(s, o, ValueId(9))),
-            Err(ModelError::UnknownId { kind: "value", .. })
-        ));
-        let bad = Claim {
-            probability: 1.5,
-            ..Claim::snapshot(s, o, v)
-        };
-        assert!(matches!(
-            b.add_claim(bad),
-            Err(ModelError::InvalidProbability(_))
-        ));
     }
 
     #[test]
@@ -1109,8 +1002,8 @@ mod tests {
             .map(|c| (c.source, c.object, c.value))
             .collect();
         let direct = SnapshotView::from_triples(store.num_sources(), store.num_objects(), triples);
-        for s in store.source_ids() {
-            for o in store.object_ids() {
+        for s in source_ids(&store) {
+            for o in object_ids(&store) {
                 assert_eq!(snap.value(s, o), direct.value(s, o));
             }
         }
@@ -1129,8 +1022,8 @@ mod tests {
         assert_eq!(back.num_sources(), snap.num_sources());
         assert_eq!(back.num_objects(), snap.num_objects());
         assert_eq!(back.num_assertions(), snap.num_assertions());
-        for s in store.source_ids() {
-            for o in store.object_ids() {
+        for s in source_ids(&store) {
+            for o in object_ids(&store) {
                 assert_eq!(back.value(s, o), snap.value(s, o));
             }
         }
@@ -1192,7 +1085,7 @@ mod tests {
         let store = sample_store();
         let snap = store.snapshot();
         let mut total = 0;
-        for s in store.source_ids() {
+        for s in source_ids(&store) {
             let slice = snap.source_assertions(s);
             assert!(
                 slice.windows(2).all(|w| w[0].0 < w[1].0),
@@ -1201,7 +1094,7 @@ mod tests {
             total += slice.len();
         }
         assert_eq!(total, snap.num_assertions());
-        for o in store.object_ids() {
+        for o in object_ids(&store) {
             let slice = snap.assertions_on(o);
             assert!(
                 slice.windows(2).all(|w| w[0].0 < w[1].0),

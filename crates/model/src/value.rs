@@ -56,30 +56,6 @@ impl Value {
         }
     }
 
-    /// Returns the inner integer for `Int` values.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Returns the rating level for `Rating` values.
-    pub fn as_rating(&self) -> Option<u8> {
-        match self {
-            Value::Rating(r) => Some(*r),
-            _ => None,
-        }
-    }
-
-    /// Returns the list elements for `List` values.
-    pub fn as_list(&self) -> Option<&[Value]> {
-        match self {
-            Value::List(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// `true` for the explicit [`Value::Absent`] marker.
     pub fn is_absent(&self) -> bool {
         matches!(self, Value::Absent)
@@ -133,18 +109,16 @@ mod tests {
     #[test]
     fn accessors_match_variants() {
         assert_eq!(Value::text("UW").as_text(), Some("UW"));
-        assert_eq!(Value::Int(2007).as_int(), Some(2007));
-        assert_eq!(Value::Rating(2).as_rating(), Some(2));
         assert!(Value::Absent.is_absent());
-        assert_eq!(Value::text("UW").as_int(), None);
         assert_eq!(Value::Int(1).as_text(), None);
-        assert_eq!(Value::Rating(0).as_list(), None);
     }
 
     #[test]
     fn list_of_texts_builds_nested_values() {
         let v = Value::list_of_texts(["Bloch", "Gafter"]);
-        let items = v.as_list().unwrap();
+        let Value::List(items) = v else {
+            panic!("not a list: {v}")
+        };
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].as_text(), Some("Bloch"));
     }

@@ -65,13 +65,6 @@ pub enum TruthClass {
     False,
 }
 
-impl TruthClass {
-    /// `true` for values that are or ever were true.
-    pub fn was_ever_true(self) -> bool {
-        !matches!(self, TruthClass::False)
-    }
-}
-
 /// Static ground truth: one true value per object (snapshot setting).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct GroundTruth {
@@ -89,11 +82,6 @@ impl GroundTruth {
         Self {
             truth: pairs.into_iter().collect(),
         }
-    }
-
-    /// Sets the true value for an object.
-    pub fn set(&mut self, object: ObjectId, value: ValueId) {
-        self.truth.insert(object, value);
     }
 
     /// The true value for `object`.
@@ -267,10 +255,8 @@ mod tests {
 
     #[test]
     fn ground_truth_basics() {
-        let mut gt = GroundTruth::new();
-        assert!(gt.is_empty());
-        gt.set(o(0), v(1));
-        gt.set(o(1), v(2));
+        assert!(GroundTruth::new().is_empty());
+        let gt = GroundTruth::from_pairs([(o(0), v(1)), (o(1), v(2))]);
         assert_eq!(gt.len(), 2);
         assert!(gt.is_true(o(0), v(1)));
         assert!(!gt.is_true(o(0), v(2)));
@@ -365,13 +351,6 @@ mod tests {
         assert_eq!(tt.classify(o(5), v(0), 2007), None);
         // Before any truth.
         assert_eq!(tt.classify(o(0), v(0), 2001), None);
-    }
-
-    #[test]
-    fn truth_class_predicates() {
-        assert!(TruthClass::CurrentTrue.was_ever_true());
-        assert!(TruthClass::OutdatedTrue.was_ever_true());
-        assert!(!TruthClass::False.was_ever_true());
     }
 
     #[test]

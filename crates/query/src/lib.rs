@@ -22,4 +22,4 @@ pub mod topk;
 
 pub use online::{OnlineSession, StepSnapshot};
 pub use ordering::{order_sources, OrderingPolicy};
-pub use topk::{top_k_with_early_stop, TopKResult};
+pub use topk::TopKResult;

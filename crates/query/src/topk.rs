@@ -30,66 +30,12 @@ pub struct TopKResult {
 ///
 /// `support_of` maps a source to `(value, weight)` pairs — typically the
 /// values the source asserts for the query's object(s), weighted by accuracy
-/// and independence. Sources are probed in `order`; the run stops when the
-/// k-th answer's lower bound beats every other answer's upper bound.
-pub fn top_k_with_early_stop<F>(
-    order: &[SourceId],
-    k: usize,
-    max_weight_per_source: f64,
-    mut support_of: F,
-) -> TopKResult
-where
-    F: FnMut(SourceId) -> Vec<(ValueId, f64)>,
-{
-    assert!(k > 0, "k must be positive");
-    let mut support: HashMap<ValueId, f64> = HashMap::new();
-    let mut probed = 0usize;
-
-    for (i, &source) in order.iter().enumerate() {
-        for (value, weight) in support_of(source) {
-            *support.entry(value).or_insert(0.0) += weight.max(0.0);
-        }
-        probed = i + 1;
-
-        // Remaining mass any single answer could still gain.
-        let remaining = (order.len() - probed) as f64 * max_weight_per_source;
-        if remaining <= 0.0 {
-            break;
-        }
-        let mut ranked: Vec<(ValueId, f64)> = support.iter().map(|(&v, &s)| (v, s)).collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        if ranked.len() >= k {
-            let kth_lower = ranked[k - 1].1;
-            let challenger_upper = ranked
-                .get(k)
-                .map(|&(_, s)| s + remaining)
-                .unwrap_or(remaining);
-            if kth_lower > challenger_upper {
-                let mut top = ranked;
-                top.truncate(k);
-                return TopKResult {
-                    top,
-                    probed,
-                    early_stopped: true,
-                };
-            }
-        }
-    }
-
-    let mut ranked: Vec<(ValueId, f64)> = support.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    ranked.truncate(k);
-    TopKResult {
-        top: ranked,
-        probed,
-        early_stopped: false,
-    }
-}
-
-/// Like [`top_k_with_early_stop`] but with an exact remaining-support bound:
-/// `remaining_after[i]` is the total support the sources after position `i`
-/// could still contribute. Much tighter than the per-source maximum when
-/// support is skewed (most sources do not cover a given object at all).
+/// and independence. Sources are probed in `order`; `remaining_after[i]` is
+/// the total support the sources after position `i` could still contribute.
+/// The run stops when the k-th answer's lower bound beats every other
+/// answer's upper bound. An exact bound is much tighter than a per-source
+/// maximum when support is skewed (most sources do not cover a given object
+/// at all).
 pub fn top_k_with_exact_bound<F>(
     order: &[SourceId],
     k: usize,
@@ -182,6 +128,11 @@ mod tests {
     use sailing_model::fixtures;
     use sailing_model::ObjectId;
 
+    /// `remaining_after` for sources of equal weight `w`: the suffix sums.
+    fn suffix_sums(n: usize, w: f64) -> Vec<f64> {
+        (0..n).map(|i| (n - 1 - i) as f64 * w).collect()
+    }
+
     #[test]
     fn finds_the_majority_value() {
         let (store, _) = fixtures::table1();
@@ -201,7 +152,7 @@ mod tests {
         // could contribute at most 1 each — after 6 probes value 1 leads by
         // 6 with 4 remaining, and any challenger can reach at most 4.
         let order: Vec<SourceId> = (0..10).map(SourceId::from_index).collect();
-        let result = top_k_with_early_stop(&order, 1, 1.0, |s| {
+        let result = top_k_with_exact_bound(&order, 1, &suffix_sums(10, 1.0), |s| {
             if s.index() < 6 {
                 vec![(ValueId(1), 1.0)]
             } else {
@@ -216,7 +167,9 @@ mod tests {
     #[test]
     fn no_early_stop_on_tight_race() {
         let order: Vec<SourceId> = (0..4).map(SourceId::from_index).collect();
-        let result = top_k_with_early_stop(&order, 1, 1.0, |s| vec![(ValueId(s.0 % 2), 1.0)]);
+        let result = top_k_with_exact_bound(&order, 1, &suffix_sums(4, 1.0), |s| {
+            vec![(ValueId(s.0 % 2), 1.0)]
+        });
         assert!(!result.early_stopped);
         assert_eq!(result.probed, 4);
     }
@@ -224,7 +177,8 @@ mod tests {
     #[test]
     fn k_larger_than_answers() {
         let order: Vec<SourceId> = (0..2).map(SourceId::from_index).collect();
-        let result = top_k_with_early_stop(&order, 5, 1.0, |_| vec![(ValueId(0), 1.0)]);
+        let result =
+            top_k_with_exact_bound(&order, 5, &suffix_sums(2, 1.0), |_| vec![(ValueId(0), 1.0)]);
         assert_eq!(result.top.len(), 1);
         assert!(!result.early_stopped);
     }
@@ -256,6 +210,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
-        top_k_with_early_stop(&[], 0, 1.0, |_| Vec::new());
+        top_k_with_exact_bound(&[], 0, &[], |_| Vec::new());
     }
 }

@@ -1,5 +1,7 @@
 //! Goal-directed source recommendation.
 
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use sailing_core::report::{DependenceKind, PairDependence};
@@ -42,7 +44,7 @@ pub struct Recommendation {
 /// pair in `dependences` naming the two sources, in either orientation,
 /// counts: a later duplicate is ignored, and a first pair with
 /// probability below 0.5 leaves the score alone. Scores compare by
-/// [`f64::total_cmp`], ties go to the lower source index, and the
+/// [`score_order`], ties go to the lower source index, and the
 /// rationale names the last selected source that adjusted the score.
 ///
 /// Cost: O(limit · (n + |dependences|)) for `n = scores.len()` — one pass
@@ -79,7 +81,7 @@ pub fn recommend_sources(
         let (pos, _) = remaining
             .iter()
             .enumerate()
-            .max_by(|a, b| score[*a.1].total_cmp(&score[*b.1]).then(b.0.cmp(&a.0)))
+            .max_by(|a, b| score_order(score[*a.1], score[*b.1]).then(b.0.cmp(&a.0)))
             .expect("remaining non-empty");
         let pick = remaining.remove(pos);
         let source = SourceId::from_index(pick);
@@ -131,6 +133,20 @@ pub fn recommend_sources(
         }
     }
     chosen
+}
+
+/// The ranking order of two goal-adjusted scores: numbers by
+/// [`f64::total_cmp`], every NaN below every number, and any two NaNs
+/// equal. Rust leaves the sign of a computed NaN unspecified, so ranking
+/// NaNs by their bits would rank a source by how the compiler ordered
+/// the operands of its score.
+pub fn score_order(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.total_cmp(&b),
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Less,
+        (false, true) => Ordering::Greater,
+    }
 }
 
 #[cfg(test)]
@@ -296,17 +312,18 @@ mod tests {
         let mut rng = Rng(0x5a11_1e55);
         for case in 0..3000 {
             let n = rng.below(9);
-            // NaNs of either sign enter through the scores or through one
-            // probability, never both: an `f64` operation on two NaNs may
-            // return either operand's sign, so its bits are codegen's
-            // choice in both paths. One NaN operand per operation keeps
-            // every result defined.
-            let nan_scores = rng.below(2) == 0;
+            // NaNs of either sign enter through any score factor and any
+            // probability, several at once. An `f64` operation on two NaNs
+            // may return either operand's sign, so NaN scores must rank
+            // alike whatever their bits.
+            let nan = |rng: &mut Rng| [f64::NAN, -f64::NAN][rng.below(2)];
             let scores: Vec<TrustScore> = (0..n)
                 .map(|_| {
                     let mut factors = [rng.factor(), rng.factor(), rng.factor(), rng.factor()];
-                    if nan_scores && rng.below(3) == 0 {
-                        factors[rng.below(4)] = [f64::NAN, -f64::NAN][rng.below(2)];
+                    for factor in &mut factors {
+                        if rng.below(8) == 0 {
+                            *factor = nan(&mut rng);
+                        }
                     }
                     let [accuracy, coverage, freshness, independence] = factors;
                     TrustScore {
@@ -336,9 +353,10 @@ mod tests {
                     deps.push(dep(b, a, k, p));
                 }
             }
-            if !nan_scores && !deps.is_empty() && rng.below(2) == 0 {
-                let at = rng.below(deps.len());
-                deps[at].probability = [f64::NAN, -f64::NAN][rng.below(2)];
+            for dep in &mut deps {
+                if rng.below(6) == 0 {
+                    dep.probability = nan(&mut rng);
+                }
             }
             let weights = if rng.below(2) == 0 {
                 TrustWeights::default()
@@ -356,9 +374,13 @@ mod tests {
                     let slow = reference::recommend_sources_reference(
                         &scores, &deps, goal, &weights, limit,
                     );
+                    // Scores compare by bits, except that any two NaNs match.
                     let key = |recs: &[Recommendation]| {
                         recs.iter()
-                            .map(|r| (r.source, r.score.to_bits(), r.rationale.clone()))
+                            .map(|r| {
+                                let bits = (!r.score.is_nan()).then(|| r.score.to_bits());
+                                (r.source, bits, r.rationale.clone())
+                            })
                             .collect::<Vec<_>>()
                     };
                     assert_eq!(

@@ -8,10 +8,11 @@
 //! `#[path]`, into the workspace's engine-level parity test. It names its
 //! types through `super`, so the including module must have `Goal`,
 //! `Recommendation`, `TrustScore`, `TrustWeights`, `PairDependence`,
-//! `DependenceKind` and `SourceId` in scope.
+//! `DependenceKind`, `SourceId` and `score_order` in scope.
 
 use super::{
-    DependenceKind, Goal, PairDependence, Recommendation, SourceId, TrustScore, TrustWeights,
+    score_order, DependenceKind, Goal, PairDependence, Recommendation, SourceId, TrustScore,
+    TrustWeights,
 };
 
 /// Reference ranking: O(limit · n · limit · |dependences|).
@@ -82,7 +83,7 @@ pub fn recommend_sources_reference(
                 }
                 (pos, score, rationale)
             })
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
+            .max_by(|a, b| score_order(a.1, b.1).then(b.0.cmp(&a.0)))
             .expect("remaining non-empty");
         let source = SourceId::from_index(remaining.remove(pos));
         chosen.push(Recommendation {

@@ -352,7 +352,8 @@ impl SailingEngineBuilder {
     /// on [`SailingEngine::analyze_sharded`]: a wall-clock deadline and/or
     /// limit-cycle detection that end a non-converging run as a typed
     /// outcome ([`Analysis::termination`]) instead of spinning to the
-    /// iteration cap. Rejected on [`SailingEngineBuilder::build`] when
+    /// iteration cap. A watchdog-stopped analysis is returned but never
+    /// cached or persisted. Rejected on [`SailingEngineBuilder::build`] when
     /// combined with [`SailingEngineBuilder::strategy`] — a custom
     /// strategy runs its own loop, so the watchdog could never reach it;
     /// configure it on the strategy object instead.
@@ -1048,12 +1049,20 @@ impl SailingEngine {
     /// Retains a freshly computed result in both tiers. Returns the
     /// allocations the memory cache actually holds, so concurrent missers
     /// racing on the same snapshot converge on one `PipelineResult`.
+    ///
+    /// A watchdog-stopped result goes back to its caller (and to any
+    /// single-flight waiter) but into neither tier: a deadline stop
+    /// depends on wall time, and the store's wire form does not record
+    /// how a run ended, so a later reader could not tell it apart.
     fn retain_result(
         &self,
         key: CacheKey,
         snapshot: Arc<SnapshotView>,
         result: Arc<PipelineResult>,
     ) -> (Arc<SnapshotView>, Arc<PipelineResult>) {
+        if result.termination.is_watchdog_stop() {
+            return (snapshot, result);
+        }
         if let Some(store) = &self.persist {
             store.put(key.store_key(), Arc::clone(&snapshot), Arc::clone(&result));
         }
@@ -1802,12 +1811,6 @@ impl TimelineSession {
         self.change_points.len()
     }
 
-    /// Update-trace dependence evidence over the whole history, shared by
-    /// every epoch.
-    pub fn temporal_dependences(&self) -> &[PairDependence] {
-        &self.temporal
-    }
-
     /// Total truth-discovery iterations actually *spent* so far across the
     /// epochs already yielded — the quantity warm starting minimises.
     /// Epochs served from the engine's analysis cache ran no discovery and
@@ -2093,11 +2096,6 @@ impl EpochAnalysis {
     /// Unwraps the epoch into its owned analysis.
     pub fn into_analysis(self) -> Analysis {
         self.analysis
-    }
-
-    /// Update-trace dependence evidence over the whole history.
-    pub fn temporal_dependences(&self) -> &[PairDependence] {
-        &self.temporal
     }
 
     /// Dependence evidence with the *currents* folded in: the epoch
@@ -2981,7 +2979,7 @@ mod tests {
                 .find(|d| (d.a, d.b) == (p.a, p.b))
                 .map_or(0.0, |d| d.probability);
             let temp_p = last
-                .temporal_dependences()
+                .temporal
                 .iter()
                 .find(|d| (d.a, d.b) == (p.a, p.b))
                 .map_or(0.0, |d| d.probability);

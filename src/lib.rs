@@ -225,7 +225,8 @@
 //!   [`discovery_watchdog`](SailingEngineBuilder::discovery_watchdog)
 //!   (wall-clock deadline, limit-cycle detection); the run ends as a
 //!   typed non-converged outcome ([`Analysis::termination`],
-//!   [`core::Termination`]) instead of spinning to the iteration cap.
+//!   [`core::Termination`]) instead of spinning to the iteration cap,
+//!   and is returned but never cached or persisted.
 //! * **Serving** — the `sailing-serve` tier refuses to publish
 //!   watchdog-stopped analyses: readers keep answering from the last
 //!   good epoch (stale-while-revalidate) while its `Health` reports the

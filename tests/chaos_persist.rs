@@ -241,6 +241,40 @@ fn zero_deadline_ends_a_sharded_run_after_one_iteration() {
     }
 }
 
+/// A watchdog-stopped analysis reaches its caller but neither cache tier:
+/// the same engine recomputes it, and a later engine without a watchdog
+/// on the same store directory misses on disk and runs to its own end.
+#[test]
+fn watchdog_stopped_analyses_are_neither_cached_nor_persisted() {
+    let snap = world(41);
+    let dir = chaos_dir("watchdog-unstored");
+    {
+        let stopped = SailingEngine::builder()
+            .persist_dir(&dir)
+            .discovery_watchdog(Watchdog::off().deadline(Duration::ZERO))
+            .build()
+            .unwrap();
+        for _ in 0..2 {
+            let analysis = stopped.analyze_owned(Arc::clone(&snap));
+            assert_eq!(analysis.termination(), Termination::DeadlineExceeded);
+            assert_eq!(analysis.result().iterations, 1);
+        }
+        stopped.flush_persist().unwrap();
+        let stats = stopped.cache_stats();
+        assert_eq!(stats.hits, 0, "the memory tier must recompute: {stats:?}");
+        assert_eq!(stats.entries, 0);
+        assert_eq!(stats.disk_misses, 2);
+        assert_eq!(stats.persist.map(|p| p.writes), Some(0));
+    }
+    let fresh = SailingEngine::builder().persist_dir(&dir).build().unwrap();
+    let analysis = fresh.analyze_owned(Arc::clone(&snap));
+    let stats = fresh.cache_stats();
+    assert_eq!((stats.disk_hits, stats.disk_misses), (0, 1), "{stats:?}");
+    assert_ne!(analysis.termination(), Termination::DeadlineExceeded);
+    assert!(analysis.result().iterations > 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A discovery strategy that deterministically refuses to converge on
 /// one specific snapshot (by content hash) — the forced equivalent of a
 /// pipeline the watchdog had to stop.

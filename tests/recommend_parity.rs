@@ -5,7 +5,9 @@
 //! rationale strings, for both goals.
 //!
 //! The reference loop is the test-only file of `sailing-recommend`,
-//! compiled in here through `#[path]`.
+//! compiled in here through `#[path]`. Compiled into another crate than
+//! the fast path, it may give a NaN computed from two NaN operands the
+//! other sign, so NaN scores compare as "both NaN" rather than by bits.
 
 use std::sync::Arc;
 
@@ -14,14 +16,18 @@ use sailing::datagen::world::{SnapshotWorld, WorldConfig};
 use sailing::datagen::{ChurnConfig, ChurnWorld};
 use sailing::engine::SailingEngine;
 use sailing::model::{fixtures, SnapshotView, SourceId};
-use sailing::recommend::{Goal, Recommendation, TrustScore, TrustWeights};
+use sailing::recommend::recommend::score_order;
+use sailing::recommend::{recommend_sources, Goal, Recommendation, TrustScore, TrustWeights};
 
 #[path = "../crates/recommend/src/recommend/reference.rs"]
 mod reference;
 
-fn key(recs: &[Recommendation]) -> Vec<(SourceId, u64, String)> {
+fn key(recs: &[Recommendation]) -> Vec<(SourceId, Option<u64>, String)> {
     recs.iter()
-        .map(|r| (r.source, r.score.to_bits(), r.rationale.clone()))
+        .map(|r| {
+            let bits = (!r.score.is_nan()).then(|| r.score.to_bits());
+            (r.source, bits, r.rationale.clone())
+        })
         .collect()
 }
 
@@ -75,4 +81,74 @@ fn specialist_world_recommendations_match_the_reference_loop() {
         let world = SnapshotWorld::generate(&WorldConfig::specialist(30, 120, 40, seed));
         assert!(check(&format!("specialist seed {seed}"), world.snapshot) > 0);
     }
+}
+
+/// A specialist analysis's trust scores and dependences with NaNs of both
+/// signs planted in score factors and probabilities, several per score:
+/// every NaN ranks below every number and ties go to the lower source,
+/// so both loops pick the same sources whatever sign each NaN gets.
+#[test]
+fn nan_scores_rank_alike_in_both_loops() {
+    let world = SnapshotWorld::generate(&WorldConfig::specialist(30, 120, 40, 1));
+    let analysis = SailingEngine::with_defaults().analyze_owned(Arc::new(world.snapshot));
+    let nan = |i: usize| {
+        if i.is_multiple_of(2) {
+            f64::NAN
+        } else {
+            -f64::NAN
+        }
+    };
+    let scores: Vec<TrustScore> = analysis
+        .trust_scores()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| match i % 5 {
+            0 => TrustScore {
+                accuracy: nan(i),
+                independence: nan(i + 1),
+                ..*s
+            },
+            1 => TrustScore {
+                coverage: nan(i),
+                ..*s
+            },
+            _ => *s,
+        })
+        .collect();
+    let dependences: Vec<PairDependence> = analysis
+        .dependences()
+        .iter()
+        .enumerate()
+        .map(|(i, d)| PairDependence {
+            probability: if i % 4 == 0 {
+                nan(i / 4)
+            } else {
+                d.probability
+            },
+            ..d.clone()
+        })
+        .collect();
+    let n = scores.len();
+    for goal in [Goal::TruthSeeking, Goal::DiversitySeeking] {
+        for limit in [1, n / 2, n] {
+            let fast =
+                recommend_sources(&scores, &dependences, goal, &TrustWeights::default(), limit);
+            let slow = reference::recommend_sources_reference(
+                &scores,
+                &dependences,
+                goal,
+                &TrustWeights::default(),
+                limit,
+            );
+            assert_eq!(key(&fast), key(&slow), "{goal:?}, limit {limit}");
+            // NaN scores trail every number.
+            let first_nan = fast.iter().position(|r| r.score.is_nan()).unwrap_or(limit);
+            assert!(fast[first_nan..].iter().all(|r| r.score.is_nan()));
+        }
+    }
+    assert_eq!(score_order(f64::NAN, -f64::NAN), std::cmp::Ordering::Equal);
+    assert_eq!(
+        score_order(-f64::NAN, f64::NEG_INFINITY),
+        std::cmp::Ordering::Less
+    );
 }
