@@ -9,9 +9,7 @@
 //! from a per-object inverted index; [`detect_all`] fans the surviving pairs
 //! out across worker threads, each pair's row carrying its direction hint.
 
-use std::collections::HashMap;
-
-use sailing_model::{ObjectId, SnapshotView, SourceId};
+use sailing_model::{SnapshotView, SourceId};
 
 use crate::copy::DetectionPass;
 use crate::params::DetectionParams;
@@ -27,22 +25,32 @@ pub fn candidate_pairs(
     snapshot: &SnapshotView,
     min_overlap: usize,
 ) -> Vec<(SourceId, SourceId, usize)> {
-    let mut counts: HashMap<(SourceId, SourceId), usize> = HashMap::new();
-    for idx in 0..snapshot.num_objects() {
-        let assertions = snapshot.assertions_on(ObjectId::from_index(idx));
-        for (i, &(a, _)) in assertions.iter().enumerate() {
-            for &(b, _) in &assertions[i + 1..] {
-                let key = if a < b { (a, b) } else { (b, a) };
-                *counts.entry(key).or_insert(0) += 1;
+    let min_overlap = min_overlap.max(1);
+    // One source's overlap with each later source, and the partners it
+    // touched: a dense counter row, emptied after each source.
+    let mut counts = vec![0usize; snapshot.num_sources()];
+    let mut touched: Vec<SourceId> = Vec::new();
+    let mut pairs = Vec::new();
+    for a in (0..snapshot.num_sources()).map(SourceId::from_index) {
+        for &(object, _) in snapshot.source_assertions(a) {
+            let on = snapshot.assertions_on(object);
+            let later = on.partition_point(|&(s, _)| s <= a);
+            for &(b, _) in &on[later..] {
+                let count = &mut counts[b.index()];
+                if *count == 0 {
+                    touched.push(b);
+                }
+                *count += 1;
+            }
+        }
+        touched.sort_unstable();
+        for b in touched.drain(..) {
+            let count = std::mem::take(&mut counts[b.index()]);
+            if count >= min_overlap {
+                pairs.push((a, b, count));
             }
         }
     }
-    let mut pairs: Vec<_> = counts
-        .into_iter()
-        .filter(|&(_, c)| c >= min_overlap.max(1))
-        .map(|((a, b), c)| (a, b, c))
-        .collect();
-    pairs.sort();
     pairs
 }
 
@@ -73,8 +81,11 @@ pub fn detect_all(
 /// it through every iteration instead of rebuilding the inverted-index
 /// counts each round. One column, `probs.prob` of every assertion in the
 /// snapshot's per-source layout, is built here once per call and shared by
-/// every worker. Each row is [`crate::copy::detect_pair`]'s: the copy
-/// posterior with the overlap-property direction hint blended in.
+/// every worker; each worker (or the caller, single-threaded) owns one
+/// scratch slot array that the pair kernel fills with a first source's
+/// objects and reuses while consecutive pairs share that source. Each row
+/// is [`crate::copy::detect_pair`]'s: the copy posterior with the
+/// overlap-property direction hint blended in.
 ///
 /// The parallel fan-out assigns pairs to workers by **overlap-weighted
 /// balanced chunks** (longest-processing-time greedy): per-pair cost is
@@ -97,9 +108,10 @@ pub fn detect_all_with_pairs(
     }
     let pass = DetectionPass::new(snapshot, probs, accuracies, params, None);
     let detect_chunk = |chunk: &[(SourceId, SourceId, usize)]| {
+        let mut scratch = pass.scratch();
         chunk
             .iter()
-            .filter_map(|&(a, b, _)| pass.detect(a, b))
+            .filter_map(|&(a, b, _)| pass.detect(&mut scratch, a, b))
             .collect::<Vec<_>>()
     };
     let threads = params.threads.max(1);
@@ -108,7 +120,12 @@ pub fn detect_all_with_pairs(
     } else {
         // Every pair costs at least the detection setup, so overlap 0
         // still weighs 1.
-        let chunks = balanced_chunks(pairs, threads, |&(_, _, overlap)| overlap.max(1));
+        let mut chunks = balanced_chunks(pairs, threads, |&(_, _, overlap)| overlap.max(1));
+        // LPT fills chunks heaviest-first; a worker reuses its scratch
+        // slots across pairs that share a first source.
+        for chunk in &mut chunks {
+            chunk.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        }
         #[cfg(test)]
         let poisoned = tests::PANIC_ON_PAIR.with(std::cell::Cell::take);
         let detect_chunk = &detect_chunk;
@@ -168,8 +185,9 @@ pub fn balanced_chunks<T: Clone>(
 mod tests {
     use super::*;
     use crate::truth::{weighted_vote, DependenceMatrix};
-    use sailing_model::fixtures;
+    use sailing_model::{fixtures, ObjectId};
     use std::cell::Cell;
+    use std::collections::HashMap;
 
     thread_local! {
         /// Fault injection: the next parallel [`detect_all_with_pairs`] on
@@ -217,6 +235,43 @@ mod tests {
             assert_eq!((x.a, x.b, x.direction), (y.a, y.b, y.direction));
             assert_eq!(x.probability.to_bits(), y.probability.to_bits());
             assert_eq!(x.prob_a_on_b.to_bits(), y.prob_a_on_b.to_bits());
+        }
+    }
+
+    /// The hash-map count [`candidate_pairs`] replaced, kept as its oracle.
+    fn candidate_pairs_reference(
+        snapshot: &SnapshotView,
+        min_overlap: usize,
+    ) -> Vec<(SourceId, SourceId, usize)> {
+        let mut counts: HashMap<(SourceId, SourceId), usize> = HashMap::new();
+        for idx in 0..snapshot.num_objects() {
+            let assertions = snapshot.assertions_on(ObjectId::from_index(idx));
+            for (i, &(a, _)) in assertions.iter().enumerate() {
+                for &(b, _) in &assertions[i + 1..] {
+                    let key = if a < b { (a, b) } else { (b, a) };
+                    *counts.entry(key).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut pairs: Vec<_> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= min_overlap.max(1))
+            .map(|((a, b), c)| (a, b, c))
+            .collect();
+        pairs.sort();
+        pairs
+    }
+
+    #[test]
+    fn candidate_pairs_match_the_hash_map_count() {
+        for (name, snapshot, params) in crate::copy::reference::oracle_worlds() {
+            for min_overlap in [0, 1, 3, params.min_overlap] {
+                assert_eq!(
+                    candidate_pairs(&snapshot, min_overlap),
+                    candidate_pairs_reference(&snapshot, min_overlap),
+                    "{name}, min_overlap {min_overlap}"
+                );
+            }
         }
     }
 

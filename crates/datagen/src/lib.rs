@@ -22,7 +22,7 @@
 //!   as about facts: canonical values plus case/whitespace/diacritic and
 //!   trailing-zero re-renderings, the substrate for the value-equivalence
 //!   backends;
-//! * [`zipf`] — the coverage-skew sampler shared by the generators.
+//! * [`zipf`] — the Zipf coverage-skew counts of the bookstore corpus.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +41,6 @@ pub use ratings::{RaterBehavior, RatingWorld, RatingWorldConfig};
 pub use temporal::{TemporalWorld, TemporalWorldConfig};
 pub use variants::{VariantWorld, VariantWorldConfig};
 pub use world::{SnapshotWorld, SourceBehavior, WorldConfig};
-pub use zipf::Zipf;
 
 /// The workspace-standard seeded RNG.
 pub type Rng = rand_chacha::ChaCha8Rng;

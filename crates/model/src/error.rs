@@ -12,18 +12,6 @@ use std::fmt;
 /// Errors raised anywhere in the sailing workspace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SailingError {
-    /// A name was used before being interned in the corresponding catalog.
-    UnknownName {
-        /// Which catalog the lookup targeted ("source", "object", "value").
-        kind: &'static str,
-        /// The offending name.
-        name: String,
-    },
-    /// A temporal operation was requested on data without timestamps.
-    MissingTemporalInfo {
-        /// Human-readable context for the failed operation.
-        context: &'static str,
-    },
     /// A detection/fusion parameter violated its documented constraint.
     InvalidParameter {
         /// The parameter's field name (e.g. `copy_rate`).
@@ -124,12 +112,6 @@ impl SailingError {
 impl fmt::Display for SailingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SailingError::UnknownName { kind, name } => {
-                write!(f, "unknown {kind} name: {name:?}")
-            }
-            SailingError::MissingTemporalInfo { context } => {
-                write!(f, "temporal information required but missing: {context}")
-            }
             SailingError::InvalidParameter { param, reason } => {
                 write!(f, "invalid parameter {param}: {reason}")
             }
@@ -167,16 +149,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = SailingError::UnknownName {
-            kind: "source",
-            name: "S9".into(),
-        };
-        assert!(e.to_string().contains("source"));
-        assert!(e.to_string().contains("S9"));
-
-        assert!(SailingError::MissingTemporalInfo { context: "history" }
-            .to_string()
-            .contains("history"));
         assert!(SailingError::param_outside_unit("copy_rate", 2.0)
             .to_string()
             .contains("copy_rate"));
@@ -212,10 +184,13 @@ mod tests {
     #[test]
     fn model_error_alias_matches() {
         // The legacy alias stays pattern-matchable.
-        let e: ModelError = SailingError::UnknownName {
-            kind: "value",
-            name: "v3".into(),
-        };
-        assert!(matches!(e, ModelError::UnknownName { kind: "value", .. }));
+        let e: ModelError = SailingError::config("WorldConfig", "no sources");
+        assert!(matches!(
+            e,
+            ModelError::InvalidConfig {
+                context: "WorldConfig",
+                ..
+            }
+        ));
     }
 }
