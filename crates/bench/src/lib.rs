@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment benches.
 //!
-//! Every `exp_*` bench target regenerates one of the paper's tables/figures
-//! (see `DESIGN.md`'s experiment index) and prints it to stdout when run
-//! under `cargo bench`.
+//! Every `exp_*` bench target regenerates one of the paper's tables or
+//! figures, or runs a set of timing gates (`exp_scalability`,
+//! `exp_serve`), and prints it to stdout when run under `cargo bench`.
 
 use sailing_model::SourceId;
 

@@ -54,11 +54,6 @@ pub fn candidate_pairs(
     pairs
 }
 
-/// Number of pairs the naive all-pairs strategy would test.
-pub fn all_pairs_count(num_sources: usize) -> usize {
-    num_sources * num_sources.saturating_sub(1) / 2
-}
-
 /// Runs snapshot copy detection over every candidate pair, optionally in
 /// parallel ([`DetectionParams::threads`]).
 ///
@@ -283,7 +278,6 @@ mod tests {
         let pairs = candidate_pairs(&snap, 1);
         assert_eq!(pairs.len(), 10);
         assert!(pairs.iter().all(|&(_, _, c)| c == 5));
-        assert_eq!(all_pairs_count(5), 10);
     }
 
     #[test]

@@ -179,14 +179,6 @@ macro_rules! typed_catalog {
             pub fn name(&self, id: $id) -> Option<&K> {
                 self.name_raw(id.0)
             }
-
-            /// Iterates over `(id, name)` pairs in id order.
-            pub fn entries(&self) -> impl Iterator<Item = ($id, &K)> {
-                self.names
-                    .iter()
-                    .enumerate()
-                    .map(|(i, k)| (<$id>::from_index(i), k))
-            }
         }
     };
 }
@@ -228,18 +220,12 @@ mod tests {
             let id = c.intern(&format!("v{i}"));
             assert_eq!(id.index(), i);
         }
-        let ids: Vec<_> = c.entries().map(|(id, _)| id).collect();
-        assert_eq!(ids.len(), 10);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn entries_iterate_in_insertion_order() {
-        let mut c: Catalog<String, SourceId> = Catalog::new();
-        c.intern(&"s1".to_string());
-        c.intern(&"s2".to_string());
-        let entries: Vec<_> = c.entries().map(|(id, n)| (id.index(), n.clone())).collect();
-        assert_eq!(entries, vec![(0, "s1".to_string()), (1, "s2".to_string())]);
+        assert_eq!(c.len(), 10);
+        for i in 0..c.len() {
+            let name = format!("v{i}");
+            assert_eq!(c.name(ValueId::from_index(i)), Some(&name));
+        }
+        assert_eq!(c.name(ValueId::from_index(10)), None);
     }
 
     #[test]
@@ -273,8 +259,11 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let mut back: Catalog<String, SourceId> = serde_json::from_str(&json).unwrap();
         back.rebuild_index();
-        assert!(back.entries().eq(c.entries()));
-        for (id, name) in c.entries() {
+        assert_eq!(back.len(), c.len());
+        for i in 0..c.len() {
+            let id = SourceId::from_index(i);
+            let name = c.name(id).unwrap();
+            assert_eq!(back.name(id), Some(name));
             assert_eq!(back.lookup(name), Some(id));
         }
         assert_eq!(serde_json::to_string(&back).unwrap(), json);

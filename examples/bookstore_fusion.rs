@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example bookstore_fusion`.
 
-use sailing::core::{AccuCopy, NaiveVote};
+use sailing::core::{AccuCopy, DetectionParams, NaiveVote};
 use sailing::datagen::bookstores::{BookCorpus, BookCorpusConfig};
 use sailing::engine::SailingEngine;
 use sailing::query::OrderingPolicy;
@@ -60,7 +60,10 @@ fn main() -> Result<(), sailing::SailingError> {
         // generic `min_overlap = 3` floods detection with coincidental
         // small overlaps (precision ≈ 0.29 on this seed).
         SailingEngine::builder()
-            .threads(2)
+            .params(DetectionParams {
+                threads: 2,
+                ..DetectionParams::default()
+            })
             .bookstore_corpus(&config)
             .build()?,
     ];

@@ -10,6 +10,7 @@
 //! [`Analysis`] from which everything else derives:
 //!
 //! ```
+//! use sailing::core::DetectionParams;
 //! use sailing::engine::SailingEngine;
 //! use sailing::model::fixtures;
 //! use sailing::query::OrderingPolicy;
@@ -17,7 +18,12 @@
 //!
 //! let (store, truth) = fixtures::table1();
 //! let snapshot = store.snapshot();
-//! let engine = SailingEngine::builder().threads(2).build()?;
+//! let engine = SailingEngine::builder()
+//!     .params(DetectionParams {
+//!         threads: 2,
+//!         ..DetectionParams::default()
+//!     })
+//!     .build()?;
 //! let analysis = engine.analyze(&snapshot);
 //!
 //! // Fusion, online answering, and recommendation all reuse the same
@@ -200,7 +206,6 @@ fn join_workers<T>(
 /// Builder for [`SailingEngine`]; start from [`SailingEngine::builder`].
 pub struct SailingEngineBuilder {
     params: Option<DetectionParams>,
-    threads: Option<usize>,
     corpus_min_overlap: Option<usize>,
     strategy: Option<Arc<dyn TruthDiscovery>>,
     trust_weights: TrustWeights,
@@ -217,7 +222,6 @@ impl SailingEngineBuilder {
     fn new() -> Self {
         Self {
             params: None,
-            threads: None,
             corpus_min_overlap: None,
             strategy: None,
             trust_weights: TrustWeights::default(),
@@ -244,15 +248,6 @@ impl SailingEngineBuilder {
     #[must_use]
     pub fn strategy(mut self, strategy: impl TruthDiscovery + 'static) -> Self {
         self.strategy = Some(Arc::new(strategy));
-        self
-    }
-
-    /// Shorthand for setting the pairwise-detection worker thread count.
-    /// Applied on `build()`, so it composes with [`Self::params`] in
-    /// either call order.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -405,9 +400,6 @@ impl SailingEngineBuilder {
     /// parameters violate their documented constraints.
     pub fn build(self) -> Result<SailingEngine, SailingError> {
         let mut params = self.params.clone().unwrap_or_default();
-        if let Some(threads) = self.threads {
-            params.threads = threads;
-        }
         if let Some(min_shared) = self.corpus_min_overlap {
             params.min_overlap = params.min_overlap.max(min_shared);
         }
@@ -428,19 +420,16 @@ impl SailingEngineBuilder {
                 // A strategy carrying its own detection parameters (e.g. a
                 // hand-built `AccuCopy`) is the source of truth for the
                 // whole loop: discovery runs inside the strategy object, so
-                // builder-level `params()`/`threads()`/corpus screening
-                // could never reach it. Accepting both silently would let
-                // the overrides appear to take effect while discovery
-                // ignores them — reject the conflict instead.
+                // builder-level `params()`/corpus screening could never
+                // reach it. Accepting both silently would let the
+                // overrides appear to take effect while discovery ignores
+                // them — reject the conflict instead.
                 if let Some(sp) = s.detection_params() {
-                    if self.params.is_some()
-                        || self.threads.is_some()
-                        || self.corpus_min_overlap.is_some()
-                    {
+                    if self.params.is_some() || self.corpus_min_overlap.is_some() {
                         return Err(SailingError::config(
                             "SailingEngineBuilder",
                             "the installed strategy carries its own DetectionParams; \
-                             configure params/threads/corpus screening on the strategy \
+                             configure params/corpus screening on the strategy \
                              instead of the builder",
                         ));
                     }
@@ -2502,6 +2491,7 @@ fn trivial_result() -> PipelineResult {
 mod tests {
     use super::*;
     use sailing_core::NaiveVote;
+    use sailing_datagen::world::{SnapshotWorld, WorldConfig};
     use sailing_fusion::{fuse, FusionStrategy};
     use sailing_model::fixtures;
 
@@ -2521,7 +2511,13 @@ mod tests {
                 ..
             }
         ));
-        assert!(SailingEngine::builder().threads(0).build().is_err());
+        assert!(SailingEngine::builder()
+            .params(DetectionParams {
+                threads: 0,
+                ..DetectionParams::default()
+            })
+            .build()
+            .is_err());
     }
 
     #[test]
@@ -2636,23 +2632,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_threads_composes_with_params_in_any_order() {
-        // `threads()` must survive a later wholesale `params()` call.
-        let engine = SailingEngine::builder()
-            .threads(8)
-            .params(DetectionParams::default())
-            .build()
-            .unwrap();
-        assert_eq!(engine.params().threads, 8);
-        let engine = SailingEngine::builder()
-            .params(DetectionParams::default())
-            .threads(8)
-            .build()
-            .unwrap();
-        assert_eq!(engine.params().threads, 8);
-    }
-
-    #[test]
     fn custom_strategy_params_drive_downstream_voting() {
         // A strategy carrying its own parameters must also govern the
         // online-session voting path, keeping the facade invariant that a
@@ -2673,7 +2652,10 @@ mod tests {
         // rather than a silent no-op.
         let err = SailingEngine::builder()
             .strategy(AccuCopy::new(params.clone()).unwrap())
-            .threads(8)
+            .params(DetectionParams {
+                threads: 8,
+                ..DetectionParams::default()
+            })
             .build()
             .unwrap_err();
         assert!(matches!(err, SailingError::InvalidConfig { .. }));
@@ -2711,7 +2693,7 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(engine.params().min_overlap, 25);
-        // A param-carrying strategy conflicts, like params()/threads().
+        // A param-carrying strategy conflicts, like params().
         let err = SailingEngine::builder()
             .strategy(AccuCopy::with_defaults())
             .bookstore_corpus(&config)
@@ -3351,21 +3333,40 @@ mod tests {
     #[test]
     fn analyze_sharded_matches_analyze_bitwise() {
         let (store, truth) = fixtures::table1();
-        let snap = store.snapshot();
+        // Table 1 plus two specialist worlds large enough that every
+        // worker count splits the candidate pairs into several ranges.
+        let specialist = |sources, objects, coverage| {
+            SnapshotWorld::generate(&WorldConfig::specialist(sources, objects, coverage, 21))
+                .snapshot
+        };
+        let worlds = [
+            store.snapshot(),
+            specialist(24, 96, 16),
+            specialist(40, 120, 20),
+        ];
         let engine = SailingEngine::with_defaults();
-        let solo = engine.analyze(&snap);
-        for workers in [1, 3] {
-            let sharded = engine.analyze_sharded(&snap, workers).unwrap();
-            assert_eq!(sharded.decisions(), solo.decisions());
-            for (x, y) in sharded.accuracies().iter().zip(solo.accuracies()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "workers={workers}");
+        for (w, snap) in worlds.iter().enumerate() {
+            let solo = engine.analyze(snap);
+            for workers in [1, 2, 3, 4] {
+                let sharded = engine.analyze_sharded(snap, workers).unwrap();
+                assert_eq!(sharded.decisions(), solo.decisions(), "world {w}");
+                for (x, y) in sharded.accuracies().iter().zip(solo.accuracies()) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "world {w}, workers={workers}");
+                }
+                assert_eq!(
+                    sharded.result().iterations,
+                    solo.result().iterations,
+                    "the sharded coordinator replays the same iterations (world {w})"
+                );
+                assert_eq!(
+                    sharded.result().dependences,
+                    solo.result().dependences,
+                    "partials merge in range order (world {w}, workers={workers})"
+                );
+                if w == 0 {
+                    assert_eq!(truth.decision_precision(&sharded.decisions()).unwrap(), 1.0);
+                }
             }
-            assert_eq!(
-                sharded.result().iterations,
-                solo.result().iterations,
-                "the sharded coordinator replays the same iterations"
-            );
-            assert_eq!(truth.decision_precision(&sharded.decisions()).unwrap(), 1.0);
         }
         let stats = engine.cache_stats();
         assert!(stats.shard_runs > 0, "local detection passes are counted");
@@ -3374,8 +3375,8 @@ mod tests {
             "threads-only fan-outs have no peers to adopt from"
         );
         // Sharded results bypass the cache: only the plain analyze()
-        // touched the request counters.
-        assert_eq!(stats.hits + stats.misses, 1);
+        // calls touched the request counters.
+        assert_eq!(stats.hits + stats.misses, worlds.len() as u64);
     }
 
     #[test]

@@ -156,40 +156,50 @@ fn hashed_digest_matches_exact_analysis_on_variant_free_worlds() {
     }
 }
 
-/// The quotient backends strictly improve decision precision on the messy
-/// variant world, end to end through the engine (cache, quotient, and
-/// discovery all in the loop).
+/// The quotient backends strictly improve decision precision on messy
+/// variant worlds of three sizes, end to end through the engine (cache,
+/// quotient, and discovery all in the loop).
 #[test]
 fn quotient_backends_strictly_improve_engine_precision() {
-    let world = VariantWorld::generate(&VariantWorldConfig::messy(120, 8, 42));
-    let snapshot = Arc::new(world.snapshot.clone());
-    let precision = |engine: &SailingEngine| {
-        let decisions = engine
-            .analyze_owned(Arc::clone(&snapshot))
-            .result()
-            .probabilities
-            .decisions_sorted();
-        world.truth.decision_precision(&decisions).unwrap()
-    };
+    for (objects, sources) in [(120, 8), (200, 10), (400, 12)] {
+        let world = VariantWorld::generate(&VariantWorldConfig::messy(objects, sources, 42));
+        let snapshot = Arc::new(world.snapshot.clone());
+        let values = snapshot.values().map_or(0, |v| v.len());
+        assert!(
+            snapshot.quotient(&NormalizedString).num_classes() < values,
+            "messy({objects}, {sources}) must merge representations"
+        );
+        let precision = |engine: &SailingEngine| {
+            let decisions = engine
+                .analyze_owned(Arc::clone(&snapshot))
+                .result()
+                .probabilities
+                .decisions_sorted();
+            world.truth.decision_precision(&decisions).unwrap()
+        };
 
-    let exact = precision(&SailingEngine::with_defaults());
-    let normalized = precision(
-        &SailingEngine::builder()
-            .value_equivalence(NormalizedString)
-            .build()
-            .unwrap(),
-    );
-    let numeric = precision(
-        &SailingEngine::builder()
-            .value_equivalence(NumericTolerance::new(world.config.numeric_eps).unwrap())
-            .build()
-            .unwrap(),
-    );
-    assert!(
-        normalized > exact,
-        "normalized {normalized} vs exact {exact}"
-    );
-    assert!(numeric > exact, "numeric {numeric} vs exact {exact}");
+        let exact = precision(&SailingEngine::with_defaults());
+        let normalized = precision(
+            &SailingEngine::builder()
+                .value_equivalence(NormalizedString)
+                .build()
+                .unwrap(),
+        );
+        let numeric = precision(
+            &SailingEngine::builder()
+                .value_equivalence(NumericTolerance::new(world.config.numeric_eps).unwrap())
+                .build()
+                .unwrap(),
+        );
+        assert!(
+            normalized > exact,
+            "messy({objects}, {sources}): normalized {normalized} vs exact {exact}"
+        );
+        assert!(
+            numeric > exact,
+            "messy({objects}, {sources}): numeric {numeric} vs exact {exact}"
+        );
+    }
 }
 
 /// The sharded fan-out quotients once at the coordinator, so a non-exact

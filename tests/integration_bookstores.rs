@@ -102,12 +102,16 @@ fn corpus_screening_default_restores_precision_on_seed42() {
         (precision, hits as f64 / planted.len().max(1) as f64)
     };
 
+    let two_threads = DetectionParams {
+        threads: 2,
+        ..DetectionParams::default()
+    };
     let generic = sailing::engine::SailingEngine::builder()
-        .threads(2)
+        .params(two_threads.clone())
         .build()
         .unwrap();
     let screened = sailing::engine::SailingEngine::builder()
-        .threads(2)
+        .params(two_threads)
         .bookstore_corpus(&c.config)
         .build()
         .unwrap();
