@@ -1,133 +1,33 @@
-//! E8 — the serving tier under concurrency: closed-loop multi-threaded
+//! E8 — the serving tier's timing gates: closed-loop multi-threaded
 //! throughput and tail latency of `sailing-serve` over a specialist
-//! world, plus a live demonstration of single-flight admission.
+//! world.
 //!
-//! Three sections:
+//! For each thread count, a fresh `ServeHandle` is hammered with the
+//! default read-heavy mix (70% top-k, 10% each fuse / recommend /
+//! source-reports); the run prints wall time, aggregate queries/sec, and
+//! per-endpoint p50/p99 from the serve histograms. Two gates need the
+//! clock:
 //!
-//! * **single_flight_herd** — K threads cold-admit the same snapshot
-//!   through a barrier; the counting strategy proves discovery ran
-//!   exactly once while `inflight_waits` accounts for the rest of the
-//!   herd. Asserted on every run, including smoke.
-//! * **throughput** — for each thread count, a fresh `ServeHandle` is
-//!   hammered with the default read-heavy mix (70% top-k, 10% each fuse /
-//!   recommend / source-reports); the run records wall time, aggregate
-//!   queries/sec, and per-endpoint p50/p99/mean from the serve
-//!   histograms. On every run, smoke included, `recommend`'s p50 must
-//!   stay within 5x of `top_k`'s.
-//! * **epoch_churn** — the same closed loop with a writer toggling the
-//!   epoch between two snapshots the whole time, recording throughput
-//!   under publication churn and the number of swaps observed.
+//! * on every run, smoke included, `recommend`'s p50 must stay within 5x
+//!   of `top_k`'s;
+//! * the parallel-scaling gate (more threads must not lose throughput)
+//!   only fires on non-smoke runs with `threads * 2 <= host_cpus`, so a
+//!   small build box prints the numbers without asserting shape.
 //!
-//! Besides the stdout table, the run emits `BENCH_serve.json` at the
-//! repository root (ROADMAP.md, *Benchmark JSON convention*): schema
-//! versioned, `host_cpus` recorded, smoke runs suffixed `.smoke.json`.
-//! The parallel-scaling gate (more threads must not lose throughput)
-//! only fires on non-smoke runs with `threads * 2 <= host_cpus`, so a
-//! one-core build box records the numbers without asserting shape.
+//! The deterministic serving contracts live in tier-1 tests: single-flight
+//! admission in `tests/cache_concurrency.rs` (and live in the
+//! `serve_loadgen` example), epoch-swap consistency in
+//! `tests/serve_contention.rs`. The run writes nothing but stdout.
 //!
 //! Set `SAILING_BENCH_SMOKE=1` for the seconds-scale CI run.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use serde::Serialize;
-
-use sailing::core::{AccuCopy, PipelineResult, TruthDiscovery};
 use sailing::engine::SailingEngine;
-use sailing::model::SnapshotView;
 use sailing_bench::{banner, header, row};
 use sailing_datagen::world::{SnapshotWorld, WorldConfig};
 use sailing_serve::{Endpoint, MetricsSnapshot, ServeHandle, Workload};
-
-/// Counts discovery runs so the herd section can prove single-flight.
-struct CountingStrategy {
-    inner: AccuCopy,
-    runs: Arc<AtomicUsize>,
-}
-
-impl TruthDiscovery for CountingStrategy {
-    fn name(&self) -> &'static str {
-        "accu-copy"
-    }
-
-    fn discover(&self, snapshot: &SnapshotView) -> PipelineResult {
-        self.run_warm(snapshot, None)
-    }
-
-    fn run_warm(&self, snapshot: &SnapshotView, prior: Option<&PipelineResult>) -> PipelineResult {
-        self.runs.fetch_add(1, Ordering::SeqCst);
-        // Stretch the leader's run so the herd demonstrably overlaps it
-        // even on a one-core host (where an instant run would serialize
-        // the "herd" into leader-then-hits).
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        self.inner.run_warm(snapshot, prior)
-    }
-}
-
-#[derive(Serialize)]
-struct EndpointPoint {
-    endpoint: &'static str,
-    requests: u64,
-    p50_us: f64,
-    p99_us: f64,
-    mean_us: f64,
-}
-
-#[derive(Serialize)]
-struct ThroughputPoint {
-    threads: usize,
-    queries: u64,
-    elapsed_ms: f64,
-    qps: f64,
-    endpoints: Vec<EndpointPoint>,
-}
-
-#[derive(Serialize)]
-struct HerdPoint {
-    threads: usize,
-    discovery_runs: usize,
-    inflight_waits: u64,
-    cache_hits: u64,
-}
-
-#[derive(Serialize)]
-struct ChurnPoint {
-    threads: usize,
-    queries: u64,
-    elapsed_ms: f64,
-    qps: f64,
-    epoch_swaps: u64,
-}
-
-#[derive(Serialize)]
-struct BenchReport {
-    experiment: &'static str,
-    schema: u32,
-    smoke: bool,
-    world: &'static str,
-    host_cpus: usize,
-    single_flight_herd: HerdPoint,
-    throughput: Vec<ThroughputPoint>,
-    epoch_churn: ChurnPoint,
-}
-
-fn endpoint_points(metrics: &MetricsSnapshot) -> Vec<EndpointPoint> {
-    Endpoint::ALL
-        .iter()
-        .filter(|e| !matches!(e, Endpoint::Admit))
-        .map(|&e| {
-            let stats = metrics.endpoint(e);
-            EndpointPoint {
-                endpoint: stats.endpoint,
-                requests: stats.requests,
-                p50_us: stats.p50_us,
-                p99_us: stats.p99_us,
-                mean_us: stats.mean_us,
-            }
-        })
-        .collect()
-}
 
 /// One closed loop: `threads` readers each drive `per_thread` queries.
 /// Returns the wall time in milliseconds and the final metrics.
@@ -173,10 +73,7 @@ fn main() {
     let per_thread = if smoke { 2_000 } else { 20_000 };
     let thread_counts: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4] };
 
-    banner(
-        "E8",
-        "serving tier: closed-loop concurrency, single-flight admission",
-    );
+    banner("E8", "serving tier: closed-loop concurrency timing gates");
     println!(
         "world: specialist {sources}x{objects} (coverage {coverage}); host_cpus = {host_cpus}; \
          {per_thread} queries/thread{}",
@@ -187,59 +84,6 @@ fn main() {
     let snapshot = Arc::new(world.snapshot);
     let num_objects = snapshot.num_objects();
 
-    // ---- Section 1: the thundering herd, proven single-flight. ----
-    let herd_threads = 8;
-    let runs = Arc::new(AtomicUsize::new(0));
-    let engine = SailingEngine::builder()
-        .strategy(CountingStrategy {
-            inner: AccuCopy::with_defaults(),
-            runs: Arc::clone(&runs),
-        })
-        .build()
-        .expect("default parameters are valid");
-    let warmup = SnapshotWorld::generate(&WorldConfig::specialist(6, 16, 8, 99));
-    let handle = ServeHandle::new(engine, Arc::new(warmup.snapshot));
-    let before = runs.load(Ordering::SeqCst);
-    let barrier = Barrier::new(herd_threads);
-    std::thread::scope(|scope| {
-        for _ in 0..herd_threads {
-            let handle = handle.clone();
-            let snapshot = Arc::clone(&snapshot);
-            let barrier = &barrier;
-            scope.spawn(move || {
-                barrier.wait();
-                handle.admit(snapshot);
-            });
-        }
-    });
-    let herd_runs = runs.load(Ordering::SeqCst) - before;
-    let herd_metrics = handle.metrics();
-    assert_eq!(
-        herd_runs, 1,
-        "single-flight violated: {herd_threads} concurrent admissions ran discovery {herd_runs}x"
-    );
-    assert_eq!(
-        herd_metrics.cache.hits + herd_metrics.cache.inflight_waits,
-        herd_threads as u64 - 1,
-        "every non-leader must either wait in flight or hit the landed cache"
-    );
-    assert!(
-        herd_metrics.cache.inflight_waits >= 1,
-        "someone must have adopted the in-flight computation"
-    );
-    let herd = HerdPoint {
-        threads: herd_threads,
-        discovery_runs: herd_runs,
-        inflight_waits: herd_metrics.cache.inflight_waits,
-        cache_hits: herd_metrics.cache.hits,
-    };
-    println!(
-        "\nsingle-flight herd: {herd_threads} cold admissions -> {herd_runs} discovery run \
-         ({} waited, {} hit after landing)",
-        herd.inflight_waits, herd.cache_hits
-    );
-
-    // ---- Section 2: closed-loop throughput per thread count. ----
     println!();
     header(&[
         "threads",
@@ -248,8 +92,9 @@ fn main() {
         "qps",
         "topk p50us",
         "topk p99us",
+        "rec p50us",
     ]);
-    let mut throughput = Vec::new();
+    let mut throughput: Vec<(usize, f64)> = Vec::new();
     for &threads in &thread_counts {
         // A fresh handle per point keeps the counters and histograms
         // scoped to this run.
@@ -278,118 +123,29 @@ fn main() {
                 format!("{qps:.0}"),
                 format!("{:.1}", topk.p50_us),
                 format!("{:.1}", topk.p99_us),
+                format!("{:.1}", recommend.p50_us),
             ])
         );
-        throughput.push(ThroughputPoint {
-            threads,
-            queries,
-            elapsed_ms,
-            qps,
-            endpoints: endpoint_points(&metrics),
-        });
+        throughput.push((threads, qps));
     }
 
     // The scaling gate, only where the host can actually exhibit scaling
-    // (trajectory runs on multi-core hosts; CI smoke and one-core boxes
-    // record the numbers without asserting shape).
+    // (trajectory runs on multi-core hosts; CI smoke and small boxes
+    // print the numbers without asserting shape).
     if !smoke {
-        let base = throughput[0].qps;
-        for point in &throughput[1..] {
-            if point.threads * 2 <= host_cpus {
+        let base = throughput[0].1;
+        for &(threads, qps) in &throughput[1..] {
+            if threads * 2 <= host_cpus {
                 assert!(
-                    point.qps >= base * 0.9,
+                    qps >= base * 0.9,
                     "throughput regressed under parallelism on {host_cpus} cores: \
-                     {} qps at 1 thread vs {} qps at {} threads",
-                    base,
-                    point.qps,
-                    point.threads
+                     {base} qps at 1 thread vs {qps} qps at {threads} threads"
                 );
             }
         }
     }
 
-    // ---- Section 3: throughput under epoch churn. ----
-    let churn_threads = *thread_counts.last().unwrap();
-    let world_b = SnapshotWorld::generate(&WorldConfig::specialist(sources, objects, coverage, 8));
-    let snap_b = Arc::new(world_b.snapshot);
-    let handle = ServeHandle::new(SailingEngine::with_defaults(), Arc::clone(&snapshot));
-    handle.admit(Arc::clone(&snap_b));
-    let stop = AtomicBool::new(false);
-    let start = Instant::now();
-    let fingerprint: u64 = std::thread::scope(|scope| {
-        let readers: Vec<_> = (0..churn_threads)
-            .map(|t| {
-                let handle = handle.clone();
-                scope.spawn(move || {
-                    let mut reader = handle.reader();
-                    let mut workload = Workload::new(100 + t as u64, num_objects);
-                    let mut fp = 0u64;
-                    for _ in 0..per_thread {
-                        let query = workload.next_query();
-                        fp += Workload::execute(&mut reader, &query) as u64;
-                    }
-                    fp
-                })
-            })
-            .collect();
-        let writer = {
-            let handle = handle.clone();
-            let stop = &stop;
-            let (a, b) = (Arc::clone(&snapshot), Arc::clone(&snap_b));
-            scope.spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    handle.admit(Arc::clone(&a));
-                    handle.admit(Arc::clone(&b));
-                }
-            })
-        };
-        let fp = readers.into_iter().map(|h| h.join().unwrap()).sum();
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        fp
-    });
-    let churn_elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(fingerprint > 0);
-    let churn_metrics = handle.metrics();
-    let churn_queries = churn_metrics.query_requests();
-    let churn = ChurnPoint {
-        threads: churn_threads,
-        queries: churn_queries,
-        elapsed_ms: churn_elapsed_ms,
-        qps: churn_queries as f64 / (churn_elapsed_ms / 1e3),
-        epoch_swaps: churn_metrics.epoch_swaps,
-    };
-    println!(
-        "\nepoch churn ({churn_threads} readers + toggling writer): {:.0} qps across {} swaps",
-        churn.qps, churn.epoch_swaps
-    );
-    assert!(
-        churn.epoch_swaps >= 3,
-        "the writer must have actually churned the epoch"
-    );
-
-    let report = BenchReport {
-        experiment: "exp_serve",
-        schema: 1,
-        smoke,
-        world: "specialist",
-        host_cpus,
-        single_flight_herd: herd,
-        throughput,
-        epoch_churn: churn,
-    };
-    let file_name = if smoke {
-        "BENCH_serve.smoke.json"
-    } else {
-        "BENCH_serve.json"
-    };
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(file_name);
-    std::fs::write(&path, serde_json::to_string(&report).unwrap()).expect("write bench report");
-    println!("\nwrote {}", path.display());
     println!("\nExpectation (shape): reads scale with cores (they never take a");
-    println!("lock once the epoch settles), single-flight keeps a cold herd to");
-    println!("one discovery run, and epoch churn costs readers one pointer");
-    println!("refresh per swap, not a stall.");
+    println!("lock once the epoch settles), and recommend stays within a small");
+    println!("factor of a top-k lookup.");
 }

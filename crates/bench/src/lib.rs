@@ -2,7 +2,8 @@
 //!
 //! Every `exp_*` bench target regenerates one of the paper's tables or
 //! figures, or runs a set of timing gates (`exp_scalability`,
-//! `exp_serve`), and prints it to stdout when run under `cargo bench`.
+//! `exp_serve`), and prints its results to stdout when run under
+//! `cargo bench`; none writes a file.
 
 use sailing_model::SourceId;
 

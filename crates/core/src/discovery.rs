@@ -70,16 +70,6 @@ pub trait TruthDiscovery: Send + Sync {
         }
     }
 
-    /// `true` when the strategy estimates per-source accuracies.
-    fn estimates_accuracies(&self) -> bool {
-        true
-    }
-
-    /// `true` when the strategy detects source dependences.
-    fn detects_dependence(&self) -> bool {
-        true
-    }
-
     /// The detection parameters the strategy runs with, when it has any.
     ///
     /// Consumers that vote downstream of discovery (fusion damping, online
@@ -120,14 +110,6 @@ impl TruthDiscovery for NaiveVote {
             termination: Termination::Converged,
         }
     }
-
-    fn estimates_accuracies(&self) -> bool {
-        false
-    }
-
-    fn detects_dependence(&self) -> bool {
-        false
-    }
 }
 
 impl TruthDiscovery for AccuCopy {
@@ -157,10 +139,6 @@ impl TruthDiscovery for AccuCopy {
         AccuCopy::run_delta(self, snapshot, prev, delta, max_dirty_fraction)
     }
 
-    fn detects_dependence(&self) -> bool {
-        self.params().enable_copy_detection
-    }
-
     fn detection_params(&self) -> Option<&DetectionParams> {
         Some(self.params())
     }
@@ -185,10 +163,6 @@ mod tests {
         assert_eq!(s[0].name(), "naive");
         assert_eq!(s[1].name(), "accu");
         assert_eq!(s[2].name(), "accu-copy");
-        assert!(!s[0].estimates_accuracies());
-        assert!(s[1].estimates_accuracies());
-        assert!(!s[1].detects_dependence());
-        assert!(s[2].detects_dependence());
     }
 
     #[test]

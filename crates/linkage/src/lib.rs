@@ -30,7 +30,7 @@ pub mod normalize;
 
 pub use authors::{parse_author_list, AuthorList, AuthorName};
 pub use classify::{classify_pair, ClassifyParams, ValueRelation};
-pub use cluster::{cluster_values, UnionFind};
+pub use cluster::cluster_values;
 pub use equivalence::NormalizedString;
 pub use metrics::{jaccard_tokens, jaro, jaro_winkler, levenshtein, ngram_similarity};
 pub use normalize::{normalize, normalized_eq};

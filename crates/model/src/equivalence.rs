@@ -276,19 +276,25 @@ impl ValueEquivalence for HashedDigest {
     }
 }
 
-/// Union-find with path-halving, used to resolve tolerance chains.
-struct UnionFind {
+/// Union-find with path-halving over ids `0..n`. Every set's root is its
+/// smallest member, so [`UnionFind::find`] names a set by its minimum id.
+/// Resolves tolerance chains here and representation clusters in
+/// `sailing-linkage`.
+#[derive(Debug, Clone)]
+pub struct UnionFind {
     parent: Vec<u32>,
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
+    /// Creates `n` singleton sets.
+    pub fn new(n: usize) -> Self {
         Self {
             parent: (0..n as u32).collect(),
         }
     }
 
-    fn find(&mut self, mut x: u32) -> u32 {
+    /// The smallest member of `x`'s set.
+    pub fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
             let grand = self.parent[self.parent[x as usize] as usize];
             self.parent[x as usize] = grand;
@@ -297,7 +303,8 @@ impl UnionFind {
         x
     }
 
-    fn union(&mut self, a: u32, b: u32) {
+    /// Merges the sets of `a` and `b`.
+    pub fn union(&mut self, a: u32, b: u32) {
         let (ra, rb) = (self.find(a), self.find(b));
         // Smaller root wins, so representatives stay minimal ids.
         if ra < rb {

@@ -4,9 +4,9 @@
 //! [`ServeHandle`] owns the engine, the [`EpochPointer`] holding the
 //! current [`Analysis`], and the metrics layer. It is `Clone` (cheap —
 //! one `Arc` bump) and `Send + Sync`, so ingestion and serving threads
-//! share the same handle. Each serving thread additionally holds a
-//! [`ServeReader`] — the generation-validated cached `Arc` that makes the
-//! steady-state read path a single atomic load.
+//! share the same handle. It publishes; [`ServeReader`] reads. Each
+//! serving thread holds its own reader — the generation-validated cached
+//! `Arc` that makes the steady-state read path a single atomic load.
 //!
 //! Division of labor with the engine: the engine deduplicates *work*
 //! (analysis cache + single-flight admission), the handle deduplicates
@@ -20,7 +20,7 @@ use sailing::fusion::FusionOutcome;
 use sailing::model::{ObjectId, SnapshotView};
 use sailing::query::{OrderingPolicy, TopKResult};
 use sailing::recommend::{Goal, Recommendation};
-use sailing::{Analysis, SailingError};
+use sailing::Analysis;
 
 use crate::epoch::EpochPointer;
 use crate::metrics::{Endpoint, MetricsSnapshot, ServeMetrics};
@@ -31,27 +31,28 @@ pub use sailing::core::SourceReport;
 
 /// Serving-tier health: is the current epoch the freshest admissible
 /// analysis, or is the handle serving its **last good** epoch because
-/// refreshes keep failing?
+/// publications keep being refused?
 ///
-/// Degradation is entered and left by [`ServeHandle::refresh`]: an
+/// Every publication ([`ServeHandle::admit`],
+/// [`ServeHandle::publish_ingest`]) enters or leaves degradation: an
 /// analysis the discovery watchdog ended without convergence
 /// ([`sailing::core::Termination::is_watchdog_stop`]) is *not*
 /// published — readers keep answering from the previous epoch
 /// (stale-while-revalidate) and the handle reports `Degraded` until a
-/// refresh converges again. Surfaces in
+/// publication converges again. Surfaces in
 /// [`MetricsSnapshot::healthy`](crate::MetricsSnapshot) for dashboards.
 #[derive(Debug, Clone)]
 pub enum Health {
-    /// The most recent refresh (or admission) published a fresh epoch.
+    /// The most recent publication swapped in (or kept) a fresh epoch.
     Healthy,
-    /// At least one refresh has failed since the last good epoch; the
-    /// handle keeps serving that last good analysis.
+    /// At least one publication has been refused since the last good
+    /// epoch; the handle keeps serving that last good analysis.
     Degraded {
-        /// When the current run of failed refreshes began (preserved
-        /// across consecutive failures, so dashboards see how long the
+        /// When the current run of refused publications began (preserved
+        /// across consecutive refusals, so dashboards see how long the
         /// tier has been stale).
         since: Instant,
-        /// Why the most recent refresh was refused publication.
+        /// Why the most recent publication was refused.
         reason: String,
     },
 }
@@ -68,8 +69,8 @@ struct ServeInner {
     epoch: EpochPointer<Analysis>,
     metrics: ServeMetrics,
     /// Guarded by its own mutex (not the epoch's): health flips on the
-    /// rare refresh path, never on reads. Poison-recovered like the
-    /// epoch pointer — a panicking refresher must not stop health
+    /// rare publish path, never on reads. Poison-recovered like the
+    /// epoch pointer — a panicking publisher must not stop health
     /// reporting.
     health: Mutex<Health>,
 }
@@ -80,11 +81,10 @@ struct ServeInner {
 ///
 /// * [`ServeHandle::admit`] analyzes a snapshot (through the engine's
 ///   single-flight cache) and publishes it as the new epoch;
+/// * [`ServeHandle::publish_ingest`] publishes a streaming ingestion
+///   session's analysis;
 /// * [`ServeHandle::reader`] hands out the per-thread lock-free read
-///   path;
-/// * the query methods on the handle itself ([`ServeHandle::top_k`] &c.)
-///   load the current epoch per call — correct from any thread, just one
-///   mutex touch slower than a [`ServeReader`] in a tight loop;
+///   path, the only way to query;
 /// * [`ServeHandle::metrics`] snapshots every counter.
 #[derive(Clone)]
 pub struct ServeHandle {
@@ -121,7 +121,7 @@ impl ServeHandle {
     }
 
     /// Analyzes `snapshot` and publishes it as the new current epoch,
-    /// returning the (possibly cache-shared) analysis.
+    /// returning the analysis now served.
     ///
     /// The analysis goes through the engine's cache, so re-admitting the
     /// snapshot that is already current is cheap and does **not** bump
@@ -130,77 +130,51 @@ impl ServeHandle {
     /// once (the engine's single-flight admission guarantees they all
     /// hold the *same* `Arc`'d result, which is what makes the
     /// pointer-equality dedup in [`EpochPointer::publish`] effective).
+    ///
+    /// An analysis the discovery watchdog ended without convergence — a
+    /// deadline overrun or a detected limit cycle (see
+    /// [`sailing::engine::SailingEngineBuilder::discovery_watchdog`]) — is
+    /// **refused**: the handle keeps serving the last good epoch, flips
+    /// [`ServeHandle::health`] to [`Health::Degraded`], and returns the
+    /// *currently served* analysis rather than the refused one. A later
+    /// publication that converges swaps normally and restores
+    /// [`Health::Healthy`].
     pub fn admit(&self, snapshot: Arc<SnapshotView>) -> Arc<Analysis> {
         let start = Instant::now();
         let analysis = Arc::new(self.inner.engine.analyze_owned(snapshot));
         self.publish(analysis, start)
     }
 
-    /// Like [`ServeHandle::admit`], but **refuses to publish an analysis
-    /// the discovery watchdog ended without convergence** — a deadline
-    /// overrun or a detected limit cycle (see
-    /// [`sailing::engine::SailingEngineBuilder::discovery_watchdog`]).
-    /// On such a failure the handle keeps serving the last good epoch
-    /// (stale-while-revalidate), flips [`ServeHandle::health`] to
-    /// [`Health::Degraded`], and returns the *currently served* analysis
-    /// rather than the refused one. A later refresh that converges
-    /// publishes normally and restores [`Health::Healthy`].
+    /// Publishes an ingestion session's current analysis under the same
+    /// watchdog gate as [`ServeHandle::admit`], and folds its
+    /// [`IngestStats`](sailing::IngestStats) into
+    /// [`MetricsSnapshot::ingest`]. Call once per sealed epoch.
     ///
-    /// `admit` keeps its historical publish-unconditionally semantics;
-    /// use `refresh` from ingestion loops that must never regress the
-    /// served answers.
-    pub fn refresh(&self, snapshot: Arc<SnapshotView>) -> Arc<Analysis> {
-        let start = Instant::now();
-        let analysis = Arc::new(self.inner.engine.analyze_owned(snapshot));
-        self.publish_gated(analysis, start)
-    }
-
-    /// Like [`ServeHandle::refresh`], but publishes an **already
-    /// computed** analysis instead of analyzing a snapshot through the
-    /// engine's cache. Same gating: a watchdog-stopped analysis is
-    /// refused, the last good epoch keeps serving, and
-    /// [`ServeHandle::health`] flips to [`Health::Degraded`].
-    ///
-    /// This is the publication path for **streaming ingestion**
-    /// ([`IngestSession::analysis`]): incremental results are computed
-    /// outside the engine's analysis cache (they match a full re-analysis
-    /// to ~1e-9, not bit-for-bit), so `refresh` would wastefully re-run
-    /// full discovery. Most callers want
-    /// [`ServeHandle::publish_ingest`], which also folds the session's
-    /// counters into [`MetricsSnapshot`].
-    pub fn refresh_analysis(&self, analysis: Arc<Analysis>) -> Arc<Analysis> {
-        let start = Instant::now();
-        self.publish_gated(analysis, start)
-    }
-
-    /// Publishes an ingestion session's current analysis (through the
-    /// [`ServeHandle::refresh_analysis`] gating) and records its
-    /// [`IngestStats`](sailing::IngestStats) for [`ServeHandle::metrics`].
-    /// Call once per sealed epoch.
+    /// Incremental results are computed outside the engine's analysis
+    /// cache (they match a full re-analysis to ~1e-9, not bit-for-bit),
+    /// so this publishes the session's analysis as is instead of
+    /// re-running discovery. Several sessions may feed one handle: each
+    /// session's cumulative stats are tracked by
+    /// [`IngestSession::session_id`] and only its delta is added, so the
+    /// additive metrics never reset or clobber.
     pub fn publish_ingest(&self, session: &IngestSession) -> Arc<Analysis> {
-        self.note_ingest(session);
-        self.refresh_analysis(Arc::new(session.analysis()))
-    }
-
-    /// Folds a streaming ingestion session's counters into
-    /// [`ServeHandle::metrics`] without publishing anything. Safe to call
-    /// from several sessions feeding one handle: each session's
-    /// cumulative stats are tracked by [`IngestSession::session_id`] and
-    /// only the per-session delta is added, so the additive metrics
-    /// fields never reset or clobber.
-    pub fn note_ingest(&self, session: &IngestSession) {
         self.inner
             .metrics
             .note_ingest(session.session_id(), session.stats());
+        let analysis = Arc::new(session.analysis());
+        self.publish(analysis, Instant::now())
     }
 
-    /// The shared gated-publication tail of
-    /// [`refresh`](ServeHandle::refresh) /
-    /// [`refresh_analysis`](ServeHandle::refresh_analysis).
-    fn publish_gated(&self, analysis: Arc<Analysis>, start: Instant) -> Arc<Analysis> {
-        if analysis.termination().is_watchdog_stop() {
+    /// The publication tail of [`admit`](ServeHandle::admit) and
+    /// [`publish_ingest`](ServeHandle::publish_ingest): refuse a
+    /// watchdog-stopped analysis (entering [`Health::Degraded`]), or swap
+    /// `analysis` in as the current epoch (restoring
+    /// [`Health::Healthy`]); either way record the admission latency
+    /// since `start` and return the analysis now served.
+    fn publish(&self, analysis: Arc<Analysis>, start: Instant) -> Arc<Analysis> {
+        let served = if analysis.termination().is_watchdog_stop() {
             let reason = format!(
-                "refresh analysis ended without converging: {:?}",
+                "analysis ended without converging: {:?}",
                 analysis.termination()
             );
             let mut health = self.lock_health();
@@ -211,41 +185,31 @@ impl ServeHandle {
             };
             *health = Health::Degraded { since, reason };
             drop(health);
-            self.inner.metrics.record(Endpoint::Admit, start.elapsed());
-            return self.current();
-        }
-        let published = self.publish(analysis, start);
-        *self.lock_health() = Health::Healthy;
-        published
-    }
-
-    /// The publication tail shared by [`admit`](ServeHandle::admit) and
-    /// [`publish_gated`](ServeHandle::publish_gated): swap `analysis` in
-    /// as the current epoch, count the swap, and record the admission
-    /// latency since `start`.
-    fn publish(&self, analysis: Arc<Analysis>, start: Instant) -> Arc<Analysis> {
-        // Adopt the already-published Arc when the analysis is
-        // value-identical (same shared pipeline result), so ptr_eq dedup
-        // keeps re-admissions from bumping the generation.
-        let published = {
-            let current = self.inner.epoch.load();
-            if Arc::ptr_eq(&current.result_arc(), &analysis.result_arc())
+            self.current()
+        } else {
+            // Adopt the already-published Arc when the analysis is
+            // value-identical (same shared pipeline result), so ptr_eq
+            // dedup keeps re-admissions from bumping the generation.
+            let current = self.current();
+            let published = if Arc::ptr_eq(&current.result_arc(), &analysis.result_arc())
                 && Arc::ptr_eq(&current.snapshot_arc(), &analysis.snapshot_arc())
             {
                 current
             } else {
                 analysis
+            };
+            if self.inner.epoch.publish(Arc::clone(&published)) {
+                self.inner.metrics.note_swap();
             }
+            *self.lock_health() = Health::Healthy;
+            published
         };
-        if self.inner.epoch.publish(Arc::clone(&published)) {
-            self.inner.metrics.note_swap();
-        }
         self.inner.metrics.record(Endpoint::Admit, start.elapsed());
-        published
+        served
     }
 
     /// The serving tier's current health — [`Health::Degraded`] while
-    /// [`ServeHandle::refresh`] failures leave it serving a stale epoch.
+    /// refused publications leave it serving a stale epoch.
     pub fn health(&self) -> Health {
         self.lock_health().clone()
     }
@@ -268,7 +232,7 @@ impl ServeHandle {
     }
 
     /// A per-thread reader holding a generation-validated cached clone of
-    /// the current analysis — the lock-free hot read path.
+    /// the current analysis — the lock-free read path.
     pub fn reader(&self) -> ServeReader {
         let (cached, seen) = self.inner.epoch.load_tagged();
         ServeReader {
@@ -276,43 +240,6 @@ impl ServeHandle {
             cached,
             seen,
         }
-    }
-
-    /// Dependence-aware top-k answering for `object` under the current
-    /// epoch.
-    pub fn top_k(&self, object: ObjectId, k: usize, policy: &OrderingPolicy) -> TopKResult {
-        let start = Instant::now();
-        let out = self.current().top_k(object, k, policy);
-        self.inner.metrics.record(Endpoint::TopK, start.elapsed());
-        out
-    }
-
-    /// The current epoch's full fusion outcome.
-    pub fn fuse(&self) -> FusionOutcome {
-        let start = Instant::now();
-        let out = self.current().fuse();
-        self.inner.metrics.record(Endpoint::Fuse, start.elapsed());
-        out
-    }
-
-    /// Goal-directed source recommendations under the current epoch.
-    pub fn recommend(&self, goal: Goal, limit: usize) -> Vec<Recommendation> {
-        let start = Instant::now();
-        let out = self.current().recommend(goal, limit);
-        self.inner
-            .metrics
-            .record(Endpoint::Recommend, start.elapsed());
-        out
-    }
-
-    /// Per-source reports under the current epoch.
-    pub fn source_reports(&self) -> Vec<SourceReport> {
-        let start = Instant::now();
-        let out = self.current().source_reports().to_vec();
-        self.inner
-            .metrics
-            .record(Endpoint::SourceReports, start.elapsed());
-        out
     }
 
     /// Snapshots the serve metrics, nesting the engine's
@@ -323,27 +250,13 @@ impl ServeHandle {
             .metrics
             .snapshot(self.inner.engine.cache_stats(), &self.health())
     }
-
-    /// Drains the engine's retained deferred persistence errors
-    /// ([`SailingError::PersistDeferred`] values from background store
-    /// writes that failed after their analysis was already served).
-    /// Counts stay visible in `cache.persist.write_errors` of
-    /// [`ServeHandle::metrics`];
-    /// this hands over the errors themselves, clearing the retained list.
-    pub fn take_persist_write_errors(&self) -> Vec<SailingError> {
-        self.inner.engine.take_persist_write_errors()
-    }
-
-    /// The engine behind the handle, for admission-adjacent work (e.g.
-    /// attaching history, inspecting parameters).
-    pub fn engine(&self) -> &SailingEngine {
-        &self.inner.engine
-    }
 }
 
-/// A per-thread read path over a [`ServeHandle`]: caches the current
+/// The read path over a [`ServeHandle`]: caches the current
 /// `Arc<Analysis>` and revalidates it with one atomic generation load per
-/// request, touching the epoch mutex only right after a swap.
+/// request, touching the epoch mutex only right after a swap. Every
+/// query endpoint lives here and is counted and timed in the handle's
+/// [`MetricsSnapshot`].
 ///
 /// Readers are made by [`ServeHandle::reader`] and are intentionally
 /// `!Clone` per thread of use — make one per serving thread. Answers are
@@ -380,53 +293,33 @@ impl ServeReader {
         self.seen
     }
 
-    /// The handle this reader serves from.
-    pub fn handle(&self) -> &ServeHandle {
-        &self.handle
+    /// Answers `query` from the current analysis and records its latency
+    /// under `endpoint`.
+    fn timed<T>(&mut self, endpoint: Endpoint, query: impl FnOnce(&Analysis) -> T) -> T {
+        let start = Instant::now();
+        let out = query(self.current());
+        self.handle.inner.metrics.record(endpoint, start.elapsed());
+        out
     }
 
     /// Dependence-aware top-k answering for `object`.
     pub fn top_k(&mut self, object: ObjectId, k: usize, policy: &OrderingPolicy) -> TopKResult {
-        let start = Instant::now();
-        let out = self.current().top_k(object, k, policy);
-        self.handle
-            .inner
-            .metrics
-            .record(Endpoint::TopK, start.elapsed());
-        out
+        self.timed(Endpoint::TopK, |a| a.top_k(object, k, policy))
     }
 
     /// The current epoch's full fusion outcome.
     pub fn fuse(&mut self) -> FusionOutcome {
-        let start = Instant::now();
-        let out = self.current().fuse();
-        self.handle
-            .inner
-            .metrics
-            .record(Endpoint::Fuse, start.elapsed());
-        out
+        self.timed(Endpoint::Fuse, Analysis::fuse)
     }
 
     /// Goal-directed source recommendations.
     pub fn recommend(&mut self, goal: Goal, limit: usize) -> Vec<Recommendation> {
-        let start = Instant::now();
-        let out = self.current().recommend(goal, limit);
-        self.handle
-            .inner
-            .metrics
-            .record(Endpoint::Recommend, start.elapsed());
-        out
+        self.timed(Endpoint::Recommend, |a| a.recommend(goal, limit))
     }
 
     /// Per-source reports.
     pub fn source_reports(&mut self) -> Vec<SourceReport> {
-        let start = Instant::now();
-        let out = self.current().source_reports().to_vec();
-        self.handle
-            .inner
-            .metrics
-            .record(Endpoint::SourceReports, start.elapsed());
-        out
+        self.timed(Endpoint::SourceReports, |a| a.source_reports().to_vec())
     }
 }
 
@@ -441,17 +334,18 @@ mod tests {
         let handle = ServeHandle::new(SailingEngine::with_defaults(), Arc::new(store.snapshot()));
         assert_eq!(handle.generation(), 1);
 
+        let mut reader = handle.reader();
         let halevy = store.object_id("Halevy").unwrap();
-        let top = handle.top_k(halevy, 1, &OrderingPolicy::ByAccuracy);
+        let top = reader.top_k(halevy, 1, &OrderingPolicy::ByAccuracy);
         assert_eq!(Some(top.top[0].0), truth.value(halevy));
-        let outcome = handle.fuse();
+        let outcome = reader.fuse();
         assert_eq!(
             outcome.decisions_sorted().get(&halevy).copied(),
             truth.value(halevy)
         );
-        assert!(!handle.recommend(Goal::TruthSeeking, 3).is_empty());
+        assert!(!reader.recommend(Goal::TruthSeeking, 3).is_empty());
         assert_eq!(
-            handle.source_reports().len(),
+            reader.source_reports().len(),
             store.snapshot().num_sources()
         );
 
@@ -463,8 +357,6 @@ mod tests {
         assert_eq!(metrics.endpoint(Endpoint::SourceReports).requests, 1);
         assert_eq!(metrics.query_requests(), 4);
         assert_eq!(metrics.epoch_swaps, 1);
-        // No deferred persistence configured: nothing to drain.
-        assert!(handle.take_persist_write_errors().is_empty());
     }
 
     #[test]
@@ -591,27 +483,27 @@ mod tests {
         one.assert_claim(SourceId(0), ObjectId(0), ValueId(1), 0, 0);
         one.assert_claim(SourceId(1), ObjectId(0), ValueId(1), 0, 1);
         assert!(one.seal());
-        handle.note_ingest(&one);
+        handle.publish_ingest(&one);
 
         let mut two = engine.ingest_session(SealPolicy::manual());
         two.assert_claim(SourceId(0), ObjectId(1), ValueId(2), 0, 2);
         assert!(two.seal());
-        handle.note_ingest(&two);
+        handle.publish_ingest(&two);
 
-        // Regression: note_ingest used to *replace* the stored stats with
-        // the latest session's cumulative counters, so the second session
-        // clobbered the first instead of adding to it.
+        // Regression: the ingest fold used to *replace* the stored stats
+        // with the latest session's cumulative counters, so the second
+        // session clobbered the first instead of adding to it.
         let metrics = handle.metrics();
         assert_eq!(metrics.ingest.events, 3, "2 from session one + 1 from two");
         assert_eq!(metrics.ingest.deltas_sealed, 2);
 
         // Re-publishing an unchanged session is a zero delta, and further
         // progress in either session folds additively.
-        handle.note_ingest(&one);
+        handle.publish_ingest(&one);
         assert_eq!(handle.metrics().ingest.events, 3);
         one.assert_claim(SourceId(2), ObjectId(0), ValueId(1), 0, 3);
         assert!(one.seal());
-        handle.note_ingest(&one);
+        handle.publish_ingest(&one);
         let metrics = handle.metrics();
         assert_eq!(metrics.ingest.events, 4);
         assert_eq!(metrics.ingest.deltas_sealed, 3);

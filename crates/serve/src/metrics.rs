@@ -20,23 +20,28 @@ use serde::Serialize;
 use crate::handle::Health;
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 
-/// The serving tier's instrumented endpoints.
+/// The serving tier's instrumented endpoints: the four [`ServeReader`]
+/// queries and the publications.
+///
+/// [`ServeReader`]: crate::ServeReader
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Endpoint {
-    /// [`ServeHandle::top_k`](crate::ServeHandle::top_k) — dependence-aware
+    /// [`ServeReader::top_k`](crate::ServeReader::top_k) — dependence-aware
     /// top-k answering for one object.
     TopK,
-    /// [`ServeHandle::fuse`](crate::ServeHandle::fuse) — the full fusion
+    /// [`ServeReader::fuse`](crate::ServeReader::fuse) — the full fusion
     /// outcome of the current epoch.
     Fuse,
-    /// [`ServeHandle::recommend`](crate::ServeHandle::recommend) —
+    /// [`ServeReader::recommend`](crate::ServeReader::recommend) —
     /// goal-directed source recommendation.
     Recommend,
-    /// [`ServeHandle::source_reports`](crate::ServeHandle::source_reports)
+    /// [`ServeReader::source_reports`](crate::ServeReader::source_reports)
     /// — per-source accuracy/coverage/copier summaries.
     SourceReports,
-    /// [`ServeHandle::admit`](crate::ServeHandle::admit) — snapshot
-    /// admission (analysis + epoch publication).
+    /// [`ServeHandle::admit`](crate::ServeHandle::admit) and
+    /// [`ServeHandle::publish_ingest`](crate::ServeHandle::publish_ingest)
+    /// — epoch publication, refused or not (`admit` includes the
+    /// analysis).
     Admit,
 }
 
@@ -225,8 +230,9 @@ pub struct EndpointStats {
 ///   (`write_errors`, `dropped` — background writes that failed or were
 ///   evicted unwritten after the originating analysis was served),
 ///   retries, breaker fast-fails, rejected files and the breaker's phase.
-///   The retained errors themselves come from
-///   [`ServeHandle::take_persist_write_errors`](crate::ServeHandle::take_persist_write_errors).
+///   The retained errors themselves come from the engine the handle was
+///   built from:
+///   [`SailingEngine::take_persist_write_errors`](sailing::engine::SailingEngine::take_persist_write_errors).
 /// * [`MetricsSnapshot::ingest`] — the [`IngestStats`] folded across every
 ///   ingestion session published through this handle.
 ///
@@ -236,8 +242,8 @@ pub struct EndpointStats {
 pub struct MetricsSnapshot {
     /// Per-endpoint stats, in [`Endpoint::ALL`] order.
     pub endpoints: Vec<EndpointStats>,
-    /// Number of [`ServeHandle::admit`](crate::ServeHandle::admit) calls
-    /// that actually changed the current epoch pointer.
+    /// Number of publications that actually changed the current epoch
+    /// pointer.
     pub epoch_swaps: u64,
     /// The engine's analysis-cache stats at snapshot time, with the
     /// persistent store's stats nested as `cache.persist` (`None` without
@@ -249,13 +255,12 @@ pub struct MetricsSnapshot {
     /// `last_outcome` (all zero / `None` when no ingestion is wired).
     pub ingest: IngestStats,
     /// `false` while the handle is serving a stale last-good epoch
-    /// because refreshes keep failing (see
-    /// [`Health`]).
+    /// because publications keep being refused (see [`Health`]).
     pub healthy: bool,
-    /// Why the most recent refresh was refused, when degraded.
+    /// Why the most recent publication was refused, when degraded.
     pub degraded_reason: Option<String>,
-    /// Seconds since the current run of failed refreshes began (`0.0`
-    /// when healthy).
+    /// Seconds since the current run of refused publications began
+    /// (`0.0` when healthy).
     pub degraded_for_secs: f64,
 }
 

@@ -3,10 +3,9 @@
 //!
 //! A [`Workload`] is a tiny seeded generator (SplitMix64 — no external
 //! RNG dependency, reproducible across runs and platforms) producing a
-//! stream of [`ServeQuery`] values under a configurable [`WorkloadMix`].
-//! The default mix is read-heavy the way a serving tier is: mostly
-//! `top_k` point lookups, with occasional full fusions, recommendations,
-//! and report scans. [`Workload::execute`] runs one query against a
+//! stream of [`ServeQuery`] values. The mix is read-heavy the way a
+//! serving tier is: mostly `top_k` point lookups, with occasional full
+//! fusions, recommendations, and report scans. [`Workload::execute`] runs one query against a
 //! [`ServeReader`] and returns a small fingerprint so closed-loop drivers
 //! can keep the optimizer from discarding the work.
 
@@ -29,61 +28,26 @@ pub enum ServeQuery {
     SourceReports,
 }
 
-/// Percentage mix of the four query endpoints. The percentages must sum
-/// to at most 100; the remainder goes to `top_k` (the default endpoint).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkloadMix {
-    /// Percent of queries that run a full fusion.
-    pub fuse_pct: u64,
-    /// Percent of queries that ask for recommendations.
-    pub recommend_pct: u64,
-    /// Percent of queries that scan source reports.
-    pub reports_pct: u64,
-}
-
-impl Default for WorkloadMix {
-    /// The read-heavy serving mix: 70% top-k, 10% each of the rest.
-    fn default() -> Self {
-        Self {
-            fuse_pct: 10,
-            recommend_pct: 10,
-            reports_pct: 10,
-        }
-    }
-}
-
 /// A deterministic stream of [`ServeQuery`] values.
 #[derive(Debug, Clone)]
 pub struct Workload {
     state: u64,
     num_objects: usize,
-    mix: WorkloadMix,
 }
 
 impl Workload {
-    /// A workload over `num_objects` objects with the default read-heavy
-    /// [`WorkloadMix`]. Two workloads built from the same `seed` and
-    /// `num_objects` produce identical query streams.
-    pub fn new(seed: u64, num_objects: usize) -> Self {
-        Self::with_mix(seed, num_objects, WorkloadMix::default())
-    }
-
-    /// A workload with an explicit endpoint mix.
+    /// A workload over `num_objects` objects. Two workloads built from the
+    /// same `seed` and `num_objects` produce identical query streams.
     ///
     /// # Panics
-    /// Panics if the mix percentages sum past 100 or `num_objects` is 0.
-    pub fn with_mix(seed: u64, num_objects: usize, mix: WorkloadMix) -> Self {
+    /// Panics if `num_objects` is 0.
+    pub fn new(seed: u64, num_objects: usize) -> Self {
         assert!(num_objects > 0, "workload needs at least one object");
-        assert!(
-            mix.fuse_pct + mix.recommend_pct + mix.reports_pct <= 100,
-            "workload mix sums past 100%"
-        );
         Self {
             // SplitMix64 recommends a non-trivial seed scramble; golden
             // gamma keeps seed 0 usable.
             state: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1),
             num_objects,
-            mix,
         }
     }
 
@@ -97,23 +61,25 @@ impl Workload {
         z ^ (z >> 31)
     }
 
-    /// The next query in the stream.
+    /// The next query in the stream: 10% each of `fuse`, `recommend` and
+    /// `source_reports`, the other 70% `top_k`.
     pub fn next_query(&mut self) -> ServeQuery {
+        // Cumulative percentile bounds of the read-heavy serving mix.
+        const FUSE_END: u64 = 10;
+        const RECOMMEND_END: u64 = 20;
+        const REPORTS_END: u64 = 30;
         let roll = self.next_u64() % 100;
         let object_roll = self.next_u64();
-        let fuse_end = self.mix.fuse_pct;
-        let recommend_end = fuse_end + self.mix.recommend_pct;
-        let reports_end = recommend_end + self.mix.reports_pct;
-        if roll < fuse_end {
+        if roll < FUSE_END {
             ServeQuery::Fuse
-        } else if roll < recommend_end {
+        } else if roll < RECOMMEND_END {
             let goal = if object_roll.is_multiple_of(2) {
                 Goal::TruthSeeking
             } else {
                 Goal::DiversitySeeking
             };
             ServeQuery::Recommend(goal, 5)
-        } else if roll < reports_end {
+        } else if roll < REPORTS_END {
             ServeQuery::SourceReports
         } else {
             let object = ObjectId::from_index((object_roll % self.num_objects as u64) as usize);
@@ -173,6 +139,30 @@ mod tests {
         }
     }
 
+    /// Pins the query stream: an FNV-1a fold over the first 100k queries
+    /// of `Workload::new(7, 400)`. A change to the generator or the
+    /// endpoint mix changes what perfbench's `serve_ingest` reader runs,
+    /// and fails here.
+    #[test]
+    fn the_default_stream_is_pinned() {
+        let mut workload = Workload::new(7, 400);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for _ in 0..100_000 {
+            let words = match workload.next_query() {
+                ServeQuery::TopK(object, k) => [0, object.index() as u64, k as u64],
+                ServeQuery::Fuse => [1, 0, 0],
+                ServeQuery::Recommend(goal, limit) => {
+                    [2, u64::from(goal == Goal::TruthSeeking), limit as u64]
+                }
+                ServeQuery::SourceReports => [3, 0, 0],
+            };
+            for word in words {
+                hash = (hash ^ word).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, 0x67f0_5b71_5a94_38dd);
+    }
+
     #[test]
     fn different_seeds_diverge() {
         let mut a = Workload::new(1, 8);
@@ -180,16 +170,5 @@ mod tests {
         let qa: Vec<ServeQuery> = (0..64).map(|_| a.next_query()).collect();
         let qb: Vec<ServeQuery> = (0..64).map(|_| b.next_query()).collect();
         assert_ne!(qa, qb);
-    }
-
-    #[test]
-    #[should_panic(expected = "sums past 100")]
-    fn overfull_mix_is_rejected() {
-        let mix = WorkloadMix {
-            fuse_pct: 50,
-            recommend_pct: 40,
-            reports_pct: 20,
-        };
-        let _ = Workload::with_mix(0, 4, mix);
     }
 }

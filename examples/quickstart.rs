@@ -151,10 +151,10 @@ fn main() -> Result<(), sailing::SailingError> {
         handle.generation()
     );
 
-    // Degraded-mode observability: `handle.refresh(...)` refuses to
+    // Degraded-mode observability: `handle.admit(...)` refuses to
     // publish an analysis the discovery watchdog ended without
     // convergence — readers keep the last good epoch and health flips to
-    // Degraded until a refresh converges again. One poll reads both the
+    // Degraded until an admission converges again. One poll reads both the
     // health and the persist tier's resilience counters.
     match handle.health() {
         sailing_serve::Health::Healthy => {

@@ -73,7 +73,7 @@ fn main() {
     // Build the handle on a *different* snapshot so the load snapshot is
     // still cache-missing when the herd arrives.
     let warmup = SnapshotWorld::generate(&WorldConfig::specialist(6, 16, 8, 99));
-    let handle = ServeHandle::new(engine, Arc::new(warmup.snapshot));
+    let handle = ServeHandle::new(engine.clone(), Arc::new(warmup.snapshot));
     let runs_before_herd = runs.load(Ordering::SeqCst);
 
     println!("sailing-serve load generator");
@@ -164,7 +164,7 @@ fn main() {
         "\ncache: hits {} / misses {} / inflight waits {}; epoch swaps {}",
         metrics.cache.hits, metrics.cache.misses, metrics.cache.inflight_waits, metrics.epoch_swaps
     );
-    let persist_errors = handle.take_persist_write_errors();
+    let persist_errors = engine.take_persist_write_errors();
     let persist = metrics.cache.persist.unwrap_or_default();
     println!(
         "persist: writes {} / errors {} / dropped {} (retained error list: {})",

@@ -7,7 +7,7 @@
 //! failure-semantics contract: transient write failures are absorbed by
 //! retry with zero user-visible errors, persistent failure trips the
 //! circuit breaker through its full open → half-open → closed cycle, and
-//! a refresh that cannot converge leaves the serving tier answering from
+//! an admission that cannot converge leaves the serving tier answering from
 //! its last good epoch with `Health::Degraded` reported (then cleared).
 
 use std::path::PathBuf;
@@ -298,10 +298,10 @@ impl TruthDiscovery for Sabotaged {
     }
 }
 
-/// Scenario (c): a refresh whose analysis ends as a watchdog stop is
+/// Scenario (c): an admission whose analysis ends as a watchdog stop is
 /// refused publication — readers keep answering from the last good
 /// epoch, health degrades (with a reason and a start time), and the next
-/// converging refresh publishes and clears the degradation.
+/// converging admission publishes and clears the degradation.
 #[test]
 fn failed_refresh_serves_stale_and_reports_degraded_health() {
     let (snap_a, snap_b, snap_c) = (world(31), world(32), world(33));
@@ -320,18 +320,22 @@ fn failed_refresh_serves_stale_and_reports_degraded_health() {
 
     // The poisoned snapshot fails to converge: no publication, the last
     // good analysis keeps being served, health degrades.
-    let served = handle.refresh(Arc::clone(&snap_b));
+    let served = handle.admit(Arc::clone(&snap_b));
     assert!(
         Arc::ptr_eq(&served.result_arc(), &good.result_arc()),
-        "a failed refresh must hand back the analysis still being served"
+        "a refused admission must hand back the analysis still being served"
     );
-    assert_eq!(handle.generation(), 1, "no epoch swap on a failed refresh");
+    assert_eq!(
+        handle.generation(),
+        1,
+        "no epoch swap on a refused admission"
+    );
     match handle.health() {
         Health::Degraded { reason, .. } => assert!(
             reason.contains("LimitCycle"),
             "the degradation reason names the watchdog outcome: {reason}"
         ),
-        Health::Healthy => panic!("health must be degraded after a failed refresh"),
+        Health::Healthy => panic!("health must be degraded after a refused admission"),
     }
     let metrics = handle.metrics();
     assert!(!metrics.healthy);
@@ -343,14 +347,14 @@ fn failed_refresh_serves_stale_and_reports_degraded_health() {
         Health::Degraded { since, .. } => since,
         Health::Healthy => unreachable!(),
     };
-    handle.refresh(Arc::clone(&snap_b));
+    handle.admit(Arc::clone(&snap_b));
     match handle.health() {
         Health::Degraded { since, .. } => assert_eq!(since, first_since),
         Health::Healthy => panic!("still degraded"),
     }
 
-    // A converging refresh publishes and restores health.
-    let fresh = handle.refresh(snap_c);
+    // A converging admission publishes and restores health.
+    let fresh = handle.admit(snap_c);
     assert!(!Arc::ptr_eq(&fresh.result_arc(), &good.result_arc()));
     assert_eq!(handle.generation(), 2);
     assert!(handle.health().is_healthy());

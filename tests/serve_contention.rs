@@ -27,7 +27,8 @@ fn readers_stay_consistent_while_the_epoch_swaps() {
     let snap_a = Arc::new(world_a.snapshot);
     let snap_b = Arc::new(world_b.snapshot);
 
-    let handle = ServeHandle::new(SailingEngine::with_defaults(), Arc::clone(&snap_a));
+    let engine = SailingEngine::with_defaults();
+    let handle = ServeHandle::new(engine.clone(), Arc::clone(&snap_a));
     // Pin the canonical shared pipeline results for both snapshots; the
     // engine cache hands the same Arcs back on every later admission.
     let result_a = handle.current().result_arc();
@@ -128,7 +129,7 @@ fn readers_stay_consistent_while_the_epoch_swaps() {
     // No persistent store attached: no persist stats, and the
     // deferred-error channel is empty.
     assert_eq!(metrics.cache.persist, None);
-    assert!(handle.take_persist_write_errors().is_empty());
+    assert!(engine.take_persist_write_errors().is_empty());
 
     // Latency accounting: the hammered endpoint has sane quantiles.
     let topk = metrics.endpoint(Endpoint::TopK);
