@@ -8,29 +8,31 @@
 //! shrinks with the probability that its value was copied from a
 //! higher-ranked supporter of the same value.
 //!
-//! # Columnar layout
+//! # Layout
 //!
 //! Both posterior containers live on the per-iteration hot path (every pair
-//! likelihood probes `prob`, every vote round rebuilds the distributions),
-//! so they mirror the snapshot's CSR layout instead of nesting hash maps:
+//! likelihood probes `prob`, every vote round rebuilds the distributions,
+//! every damping step probes the matrix), so neither nests hash maps:
 //!
 //! * [`ValueProbabilities`] is an offsets-plus-arena index keyed by dense
 //!   [`ObjectId`]: `distribution(o)` is a contiguous slice lookup, `prob`
 //!   a short linear scan of that slice (distributions hold a handful of
 //!   observed values, sorted by descending probability).
-//! * [`DependenceMatrix`] is a per-source adjacency list sorted by target,
-//!   so `dep_on(s, t)` is a binary search in `s`'s row instead of a hash
-//!   of the `(s, t)` pair.
+//! * [`DependenceMatrix`] is one hash table keyed by the unordered source
+//!   pair, each key holding both directed probabilities, so `dep_on` and
+//!   `dependent` are one probe each.
 //!
 //! Both serialize in their legacy map-shaped JSON (`{"dist": {...}}` /
 //! `{"entries": {...}}`) so persisted pipeline results remain readable
-//! across the layout change. One deliberate narrowing: because the CSR
-//! arrays allocate per dense id, documents whose id space is implausibly
-//! larger than their entry count (see [`serde::plausible_id_space`]) are
-//! rejected instead of allocated — ids from this workspace's catalogs are
+//! across layout changes. One deliberate narrowing: documents whose id
+//! space is implausibly larger than their entry count (see
+//! [`serde::plausible_id_space`]) are rejected, so a tiny document cannot
+//! force a huge CSR allocation — ids from this workspace's catalogs are
 //! dense, so real artifacts always pass.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hasher};
 
 use serde::{Content, Deserialize, Error as SerdeError, Serialize};
 
@@ -39,16 +41,63 @@ use sailing_model::{ObjectId, SnapshotView, SourceId, ValueId};
 use crate::params::DetectionParams;
 use crate::report::PairDependence;
 
+#[cfg(test)]
+pub(crate) mod reference;
+
 /// Pairwise dependence posteriors in a form optimised for vote damping.
 ///
 /// `dep_on(s, t)` answers: with what probability does `s` depend on (copy
-/// from) `t`? Stored as a per-source adjacency list sorted by target id.
+/// from) `t`? Stored as one hash table keyed by the unordered pair `(lo, hi)`
+/// holding `[P(lo on hi), P(hi on lo)]` (a self pair fills both slots), so
+/// `dep_on` and `dependent` are one probe each.
 #[derive(Debug, Clone, Default)]
 pub struct DependenceMatrix {
-    /// `adj[s]` = `(target source index, P(s depends on target))`, sorted
-    /// by target. Rows past the last recorded source are simply absent.
-    adj: Vec<Vec<(u32, f64)>>,
+    pairs: HashMap<u64, [f64; 2], PairHasher>,
+    /// Directions of a pair that a deserialized document left out: they
+    /// read as 0.0 and are not serialized (`from_pairs` records both).
+    unrecorded: BTreeSet<(u32, u32)>,
     entries: usize,
+}
+
+/// The table key of the pair `{s, t}` and the slot of `P(s depends on t)`.
+#[inline]
+fn pair_key(s: SourceId, t: SourceId) -> (u64, usize) {
+    let (lo, hi, slot) = if s <= t { (s, t, 0) } else { (t, s, 1) };
+    ((u64::from(lo.0) << 32) | u64::from(hi.0), slot)
+}
+
+/// A folded multiply of the key and a per-table random seed: the 128-bit
+/// product's halves are xored, so the low bits the table indexes buckets by
+/// depend on both source ids, and the seed keeps a document from choosing
+/// keys that collide. Builds itself, as its own `BuildHasher`.
+#[derive(Clone)]
+struct PairHasher(u64);
+
+impl Default for PairHasher {
+    fn default() -> Self {
+        Self(RandomState::new().hash_one(0u64))
+    }
+}
+
+impl BuildHasher for PairHasher {
+    type Hasher = Self;
+
+    fn build_hasher(&self) -> Self {
+        self.clone()
+    }
+}
+
+impl Hasher for PairHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let key = u64::from_ne_bytes(bytes.try_into().expect("pair keys hash as one u64"));
+        let product = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl DependenceMatrix {
@@ -62,65 +111,57 @@ impl DependenceMatrix {
     /// For each pair the overall dependence probability is split between the
     /// two directions according to `prob_a_on_b`; an unresolved
     /// [`Direction::Unknown`](crate::report::Direction::Unknown) therefore
-    /// damps both sides halfway, which is the conservative choice.
+    /// damps both sides halfway, which is the conservative choice. A later
+    /// report on the same pair overwrites an earlier one.
     pub fn from_pairs(pairs: &[PairDependence]) -> Self {
-        let mut directed = Vec::with_capacity(pairs.len() * 2);
+        let mut matrix = Self::default();
+        matrix.pairs.reserve(pairs.len());
         for p in pairs {
-            let p = p.clone().canonical();
-            directed.push((p.a, p.b, p.probability * p.prob_a_on_b));
-            directed.push((p.b, p.a, p.probability * (1.0 - p.prob_a_on_b)));
+            // `PairDependence::canonical`, without the clone.
+            let (lo, hi, on) = if p.a > p.b {
+                (p.b, p.a, 1.0 - p.prob_a_on_b)
+            } else {
+                (p.a, p.b, p.prob_a_on_b)
+            };
+            // A self pair keeps its later directed entry, in both slots.
+            let back = p.probability * (1.0 - on);
+            let value = [if lo == hi { back } else { p.probability * on }, back];
+            if matrix.pairs.insert(pair_key(lo, hi).0, value).is_none() {
+                matrix.entries += 2 - usize::from(lo == hi);
+            }
         }
-        Self::from_directed(directed)
+        matrix
     }
 
-    /// Builds from directed `(s, t, p)` entries; a later entry for the same
-    /// `(s, t)` overwrites an earlier one.
-    fn from_directed(directed: Vec<(SourceId, SourceId, f64)>) -> Self {
-        let rows = directed
-            .iter()
-            .map(|&(s, _, _)| s.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut adj: Vec<Vec<(u32, f64)>> = vec![Vec::new(); rows];
-        for (s, t, p) in directed {
-            adj[s.index()].push((t.0, p));
+    /// Records `P(s depends on t) = p` over any earlier entry; the other
+    /// direction of a new pair starts unrecorded. Leaves `entries` stale.
+    fn record(&mut self, s: SourceId, t: SourceId, p: f64) {
+        let (key, slot) = pair_key(s, t);
+        let value = self.pairs.entry(key).or_insert_with(|| {
+            self.unrecorded.insert((t.0, s.0));
+            [0.0; 2]
+        });
+        value[slot] = p;
+        if s == t {
+            value[1] = p;
         }
-        let mut entries = 0;
-        for row in &mut adj {
-            // Stable by target: among duplicates the later insertion is the
-            // later element, and the dedup keeps it (matching the old
-            // hash-map overwrite semantics).
-            row.sort_by_key(|&(t, _)| t);
-            let mut write = 0usize;
-            for read in 0..row.len() {
-                if write > 0 && row[write - 1].0 == row[read].0 {
-                    row[write - 1] = row[read];
-                } else {
-                    row[write] = row[read];
-                    write += 1;
-                }
-            }
-            row.truncate(write);
-            entries += row.len();
-        }
-        Self { adj, entries }
+        self.unrecorded.remove(&(s.0, t.0));
     }
 
     /// Probability that `s` depends on `t`.
     #[inline]
     pub fn dep_on(&self, s: SourceId, t: SourceId) -> f64 {
-        match self.adj.get(s.index()) {
-            Some(row) => row
-                .binary_search_by_key(&t.0, |&(target, _)| target)
-                .map_or(0.0, |i| row[i].1),
-            None => 0.0,
-        }
+        let (key, slot) = pair_key(s, t);
+        self.pairs.get(&key).map_or(0.0, |value| value[slot])
     }
 
-    /// Probability that `s` and `t` are dependent in either direction.
+    /// Probability that `s` and `t` are dependent in either direction: both
+    /// directions' sum (the same bits either way round), capped at 1.
     #[inline]
     pub fn dependent(&self, s: SourceId, t: SourceId) -> f64 {
-        (self.dep_on(s, t) + self.dep_on(t, s)).min(1.0)
+        self.pairs
+            .get(&pair_key(s, t).0)
+            .map_or(0.0, |&[forward, back]| (forward + back).min(1.0))
     }
 
     /// Number of directed entries.
@@ -134,21 +175,27 @@ impl DependenceMatrix {
     }
 }
 
-// Wire-compatible with the old `{"entries": {"[s,t]": p}}` hash-map shape.
+// Wire-compatible with the old `{"entries": {"[s,t]": p}}` hash-map shape,
+// entries ascending by `(s, t)`.
 impl Serialize for DependenceMatrix {
     fn serialize(&self) -> Content {
-        let mut entries = Vec::with_capacity(self.entries);
-        for (s, row) in self.adj.iter().enumerate() {
-            for &(t, p) in row {
-                entries.push((
-                    Content::Seq(vec![Content::U64(s as u64), Content::U64(t as u64)]),
-                    Content::F64(p),
-                ));
+        let mut directed = Vec::with_capacity(2 * self.pairs.len());
+        for (&key, &[forward, back]) in &self.pairs {
+            let (lo, hi) = ((key >> 32) as u32, key as u32);
+            directed.push((lo, hi, forward));
+            if lo != hi {
+                directed.push((hi, lo, back));
             }
         }
+        directed.retain(|&(s, t, _)| !self.unrecorded.contains(&(s, t)));
+        directed.sort_unstable_by_key(|&(s, t, _)| (s, t));
+        let entries = directed.into_iter().map(|(s, t, p)| {
+            let key = Content::Seq(vec![Content::U64(s.into()), Content::U64(t.into())]);
+            (key, Content::F64(p))
+        });
         Content::Map(vec![(
             Content::Str("entries".to_string()),
-            Content::Map(entries),
+            Content::Map(entries.collect()),
         )])
     }
 }
@@ -166,7 +213,8 @@ impl Deserialize for DependenceMatrix {
                 )))
             }
         };
-        let mut directed = Vec::with_capacity(entries.len());
+        let mut matrix = Self::default();
+        let mut rows = 0;
         for (k, v) in entries {
             // JSON delivers composite keys as embedded-JSON strings.
             let reparsed;
@@ -179,24 +227,21 @@ impl Deserialize for DependenceMatrix {
                 other => other,
             };
             let (s, t) = <(u32, u32)>::deserialize(key)?;
-            directed.push((SourceId(s), SourceId(t), f64::deserialize(v)?));
+            matrix.record(SourceId(s), SourceId(t), f64::deserialize(v)?);
+            rows = rows.max(s as usize + 1);
         }
-        // The adjacency allocates one row per source id; refuse documents
-        // whose id space is implausibly larger than their entry count so a
-        // tiny document cannot force a huge allocation.
-        let rows = directed
-            .iter()
-            .map(|&(s, _, _)| s.index() + 1)
-            .max()
-            .unwrap_or(0);
-        if !serde::plausible_id_space(rows, directed.len()) {
+        let self_pairs = matrix.pairs.keys().filter(|&&k| k >> 32 == k & 0xFFFF_FFFF);
+        matrix.entries = 2 * matrix.pairs.len() - self_pairs.count() - matrix.unrecorded.len();
+        // Source ids are dense: refuse an id space implausibly larger than
+        // the entry count, as the id-indexed containers do.
+        if !serde::plausible_id_space(rows, entries.len()) {
             return Err(SerdeError::msg(format!(
                 "DependenceMatrix: source id space {rows} is implausibly \
                  large for {} entries",
-                directed.len()
+                entries.len()
             )));
         }
-        Ok(Self::from_directed(directed))
+        Ok(matrix)
     }
 }
 
@@ -440,6 +485,15 @@ pub fn weighted_vote(
     let mut grouped: Vec<(ValueId, SourceId)> = Vec::new();
     let mut ordered: Vec<SourceId> = Vec::new();
     let mut scores: Vec<(ValueId, f64)> = Vec::new();
+    // Each source's accuracy (0.5 past the end of `accuracies`) and its
+    // vote weight at the configured false-value count, once per call.
+    let default_n_false = params.n_false_values.max(1);
+    let sources: Vec<(f64, f64)> = (0..snapshot.num_sources())
+        .map(|s| {
+            let a = accuracies.get(s).copied().unwrap_or(0.5);
+            (a, vote_weight(a, default_n_false, params))
+        })
+        .collect();
 
     for idx in 0..num_objects {
         let object = ObjectId::from_index(idx);
@@ -469,13 +523,12 @@ pub fn weighted_vote(
             // Highest-accuracy supporter first: it keeps its full vote and
             // damps the (likely copied) votes below it.
             ordered.sort_by(|&x, &y| {
-                let ax = accuracies.get(x.index()).copied().unwrap_or(0.5);
-                let ay = accuracies.get(y.index()).copied().unwrap_or(0.5);
+                let (ax, ay) = (sources[x.index()].0, sources[y.index()].0);
                 ay.total_cmp(&ax).then(x.cmp(&y))
             });
             let mut score = 0.0;
             for (i, &s) in ordered.iter().enumerate() {
-                let a = accuracies.get(s.index()).copied().unwrap_or(0.5);
+                let (a, weight) = sources[s.index()];
                 let mut independence = 1.0;
                 for &prev in &ordered[..i] {
                     // Either direction of dependence means the value was
@@ -492,7 +545,12 @@ pub fn weighted_vote(
                         1.0 - params.copy_rate * dep
                     };
                 }
-                score += independence * vote_weight(a, n_false, params);
+                let weight = if n_false == default_n_false {
+                    weight
+                } else {
+                    vote_weight(a, n_false, params)
+                };
+                score += independence * weight;
             }
             scores.push((value, score));
             start = end;
@@ -549,6 +607,7 @@ pub fn naive_probabilities(snapshot: &SnapshotView) -> ValueProbabilities {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{weighted_vote_reference, AdjacencyMatrix};
     use super::*;
     use crate::report::{DependenceKind, Direction};
     use sailing_model::fixtures;
@@ -715,6 +774,279 @@ mod tests {
         let ok = r#"{"entries":{"[2,1]":0.8}}"#;
         let m = DependenceMatrix::deserialize(&serde::json::parse(ok).unwrap()).unwrap();
         assert!((m.dep_on(SourceId(2), SourceId(1)) - 0.8).abs() < 1e-12);
+    }
+
+    /// `dep_on`, `dependent` and `len` of the two matrices agree bit for
+    /// bit over every pair of ids below `sources` (one past the largest
+    /// recorded id covers rows the adjacency never allocated), and both
+    /// serialize to the same JSON, which survives a round trip.
+    fn assert_matrix_parity(
+        what: &str,
+        fast: &DependenceMatrix,
+        oracle: &AdjacencyMatrix,
+        sources: u32,
+    ) {
+        assert_eq!(fast.len(), oracle.len(), "{what}: len");
+        assert_eq!(fast.is_empty(), oracle.len() == 0, "{what}: is_empty");
+        for s in (0..sources).map(SourceId) {
+            for t in (0..sources).map(SourceId) {
+                let (dep_on, reference) = (fast.dep_on(s, t), oracle.dep_on(s, t));
+                assert_eq!(
+                    dep_on.to_bits(),
+                    reference.to_bits(),
+                    "{what}: dep_on({s:?}, {t:?})"
+                );
+                let (dependent, reference) = (fast.dependent(s, t), oracle.dependent(s, t));
+                assert_eq!(
+                    dependent.to_bits(),
+                    reference.to_bits(),
+                    "{what}: dependent({s:?}, {t:?})"
+                );
+            }
+        }
+        let json = serde_json::to_string(fast).unwrap();
+        assert_eq!(json, serde_json::to_string(oracle).unwrap(), "{what}: JSON");
+        let reread: DependenceMatrix = serde_json::from_str(&json).unwrap();
+        assert_eq!(
+            serde_json::to_string(&reread).unwrap(),
+            json,
+            "{what}: JSON round trip"
+        );
+        assert_eq!(reread.len(), fast.len(), "{what}: len after a round trip");
+    }
+
+    /// Both vote bodies give the same distributions, bit for bit; returns
+    /// the fast one.
+    fn assert_vote_parity(
+        what: &str,
+        snapshot: &SnapshotView,
+        accuracies: &[f64],
+        (fast, oracle): (&DependenceMatrix, &AdjacencyMatrix),
+        params: &DetectionParams,
+    ) -> ValueProbabilities {
+        let vote = weighted_vote(snapshot, accuracies, fast, params);
+        let reference = weighted_vote_reference(snapshot, accuracies, oracle, params);
+        assert_eq!(vote.offsets, reference.offsets, "{what}: offsets");
+        for (i, (&(v, p), &(rv, rp))) in vote.arena.iter().zip(&reference.arena).enumerate() {
+            assert_eq!(v, rv, "{what}: value at arena slot {i}");
+            assert_eq!(
+                p.to_bits(),
+                rp.to_bits(),
+                "{what}: probability at arena slot {i}"
+            );
+        }
+        vote
+    }
+
+    fn pair(a: u32, b: u32, probability: f64, prob_a_on_b: f64) -> PairDependence {
+        PairDependence {
+            a: SourceId(a),
+            b: SourceId(b),
+            probability,
+            prob_a_on_b,
+            kind: DependenceKind::Similarity,
+            direction: Direction::Unknown,
+            overlap: 1,
+            diagnostic: 0.0,
+        }
+    }
+
+    /// The same pair reports through both matrices' `from_pairs`.
+    fn from_pairs(pairs: &[PairDependence]) -> (DependenceMatrix, AdjacencyMatrix) {
+        (
+            DependenceMatrix::from_pairs(pairs),
+            AdjacencyMatrix::from_pairs(pairs),
+        )
+    }
+
+    /// The same directed entries through both matrices' `Deserialize`.
+    fn deserialized(directed: &[(u32, u32, f64)]) -> (DependenceMatrix, AdjacencyMatrix) {
+        let entries = directed
+            .iter()
+            .map(|&(s, t, p)| {
+                (
+                    Content::Seq(vec![Content::U64(s.into()), Content::U64(t.into())]),
+                    Content::F64(p),
+                )
+            })
+            .collect();
+        let content = Content::Map(vec![(
+            Content::Str("entries".to_string()),
+            Content::Map(entries),
+        )]);
+        (
+            DependenceMatrix::deserialize(&content).unwrap(),
+            AdjacencyMatrix::deserialize(&content).unwrap(),
+        )
+    }
+
+    #[test]
+    fn vote_parity_pins_matrix_json() {
+        // The bytes themselves, not only agreement with the oracle: entries
+        // ascending by `(s, t)`, a self pair once, an unrecorded direction
+        // absent, and `-0.0` kept.
+        let m = DependenceMatrix::from_pairs(&[pair(2, 1, 0.8, 0.25), pair(0, 0, 0.5, 0.5)]);
+        assert_eq!(
+            serde_json::to_string(&m).unwrap(),
+            r#"{"entries":{"[0,0]":0.25,"[1,2]":0.6000000000000001,"[2,1]":0.2}}"#
+        );
+        let doc = r#"{"entries":{"[0,3]":-0.0,"[2,1]":0.8,"[5,5]":0.4}}"#;
+        let m: DependenceMatrix = serde_json::from_str(doc).unwrap();
+        assert_eq!(serde_json::to_string(&m).unwrap(), doc);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.dep_on(SourceId(1), SourceId(2)), 0.0);
+        assert_eq!(m.dependent(SourceId(5), SourceId(5)), 0.8);
+    }
+
+    #[test]
+    fn vote_parity_on_oracle_worlds() {
+        use crate::accuracy::{estimate_accuracies, max_delta};
+        use crate::pairs::{candidate_pairs, detect_all_with_pairs};
+        // The cold loop of `AccuCopy::step`, with every iteration's real
+        // dependence list fed to both matrices and both vote bodies.
+        let mut damped = std::collections::BTreeSet::new();
+        for (name, snapshot, params) in crate::copy::reference::oracle_worlds() {
+            let sources = snapshot.num_sources() as u32 + 1;
+            let pairs = candidate_pairs(&snapshot, params.min_overlap);
+            let mut probabilities = naive_probabilities(&snapshot);
+            let mut accuracies = vec![params.initial_accuracy; snapshot.num_sources()];
+            for iteration in 1..=params.max_iterations {
+                let what = format!("{name}, iteration {iteration}");
+                let deps =
+                    detect_all_with_pairs(&snapshot, &pairs, &probabilities, &accuracies, &params);
+                let (fast, oracle) = from_pairs(&deps);
+                assert_matrix_parity(&what, &fast, &oracle, sources);
+                if deps
+                    .iter()
+                    .any(|d| d.probability >= params.hard_damping_threshold)
+                {
+                    damped.insert(name.clone());
+                }
+                let matrices = (&fast, &oracle);
+                probabilities =
+                    assert_vote_parity(&what, &snapshot, &accuracies, matrices, &params);
+                let fresh = estimate_accuracies(&snapshot, &probabilities, &params);
+                let converged = max_delta(&accuracies, &fresh) < params.convergence_epsilon;
+                accuracies = fresh;
+                if converged {
+                    break;
+                }
+                probabilities =
+                    assert_vote_parity(&what, &snapshot, &accuracies, matrices, &params);
+            }
+        }
+        // The parity covers the hard cut, not just the soft damping.
+        for world in [
+            "table 1",
+            "table 2",
+            "specialist",
+            "mixed",
+            "bookstores linked=true",
+        ] {
+            assert!(
+                damped.contains(world),
+                "{world}: no vote was damped past the hard threshold"
+            );
+        }
+    }
+
+    /// Seven sources over four objects: objects 0 and 1 are backed by every
+    /// source (so every pair damps), object 2 splits, object 3 has seven
+    /// distinct values.
+    fn hand_built_world() -> SnapshotView {
+        let mut triples = Vec::new();
+        for s in 0..7u32 {
+            let source = SourceId(s);
+            triples.push((source, ObjectId(0), ValueId(0)));
+            triples.push((source, ObjectId(1), ValueId(1)));
+            triples.push((source, ObjectId(2), ValueId(2 + s % 2)));
+            triples.push((source, ObjectId(3), ValueId(10 + s)));
+        }
+        SnapshotView::from_triples(7, 4, triples)
+    }
+
+    #[test]
+    fn vote_parity_on_hand_built_matrices() {
+        let snapshot = hand_built_world();
+        let params = params();
+        let at = params.hard_damping_threshold;
+        let matrices = [
+            (
+                "duplicate pairs in both orientations",
+                from_pairs(&[
+                    pair(1, 2, 0.9, 0.3),
+                    pair(2, 1, 0.5, 0.8),
+                    pair(4, 0, 0.7, 0.1),
+                    pair(0, 4, 0.2, 0.6),
+                    pair(1, 2, 0.4, 0.25),
+                ]),
+            ),
+            (
+                "self pairs and a dependence at the hard threshold",
+                from_pairs(&[
+                    pair(3, 3, 0.6, 0.2),
+                    pair(5, 1, at, 1.0),
+                    pair(6, 3, at, 0.5),
+                ]),
+            ),
+            (
+                "negative zeros from pairs",
+                from_pairs(&[pair(0, 1, -0.0, 0.5), pair(2, 3, 0.5, -0.0)]),
+            ),
+            (
+                "one-direction, duplicate, self and above-1 entries",
+                deserialized(&[
+                    (2, 1, 0.8),
+                    (4, 3, 0.3),
+                    (3, 4, 0.1),
+                    (4, 3, 0.05),
+                    (5, 5, 0.9),
+                    (5, 5, 0.4),
+                    (0, 6, 0.7),
+                    (6, 0, 0.6),
+                    (1, 5, at),
+                    (0, 3, -0.0),
+                    (3, 0, -0.0),
+                    (6, 2, -0.0),
+                    (2, 6, 0.0),
+                ]),
+            ),
+            (
+                "empty",
+                (DependenceMatrix::new(), AdjacencyMatrix::default()),
+            ),
+        ];
+        // Accuracies with ties (the source id breaks them) and extremes the
+        // clamp cuts.
+        let accuracies = [0.9, 0.7, 0.7, 0.95, 0.0, 1.0, 0.7];
+        for (name, (fast, oracle)) in &matrices {
+            assert_matrix_parity(name, fast, oracle, 8);
+            assert_vote_parity(name, &snapshot, &accuracies, (fast, oracle), &params);
+        }
+    }
+
+    #[test]
+    fn vote_parity_on_vote_weight_fallbacks() {
+        // Object 3's seven distinct values exceed `n_false_values + 1`, so
+        // its weights come from `vote_weight` directly; a short accuracy
+        // vector leaves sources 4..7 at the 0.5 fallback.
+        let snapshot = hand_built_world();
+        let (fast, oracle) = from_pairs(&[
+            pair(0, 5, 0.9, 0.7),
+            pair(1, 6, 0.3, 0.5),
+            pair(2, 3, 0.1, 0.0),
+        ]);
+        for n_false_values in [2, 1, 0] {
+            let params = DetectionParams {
+                n_false_values,
+                ..params()
+            };
+            assert!(effective_n_false(&snapshot, ObjectId(3), &params) > n_false_values);
+            for accuracies in [&[0.8, 0.6, 0.9, 0.6][..], &[], &[0.3; 7]] {
+                let what = format!("n_false_values {n_false_values}, {accuracies:?}");
+                assert_vote_parity(&what, &snapshot, accuracies, (&fast, &oracle), &params);
+            }
+        }
     }
 
     #[test]
