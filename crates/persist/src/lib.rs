@@ -88,32 +88,16 @@
 //!   sweep, and a concurrent `get` sees a complete entry or a clean
 //!   cold miss, never a half-swept one.
 //!
-//! # Sharded directory layout
+//! # Coordination files
 //!
-//! [`StoreOptions::shards`]`(n)` splits the directory into hash-prefix
-//! subdirectory shards:
-//!
-//! ```text
-//! store/
-//!   shards/00/ … shards/xx/    one subdirectory per shard, xx = hex
-//! ```
-//!
-//! Every file — entries, blobs, claims — lands in the shard its **file
-//! name** hashes to ([`checksum_bytes`]` % n`), so any process that
-//! knows a name finds the file without scanning, no single directory
-//! listing grows with the whole store, and each shard carries its own
-//! `compact.lock` — compactions of different shards proceed
-//! concurrently instead of serialising on one lock. Opening a sharded
-//! store over a flat-layout directory **migrates** the flat entries into
-//! their shards (atomic renames; a reader mid-migration sees each entry
-//! at exactly one location), and reads check both layouts indefinitely,
-//! so flat-layout and sharded handles interoperate over one directory.
-//! The entry format itself is unchanged — [`FORMAT_VERSION`] does not
-//! bump for a layout change.
-//!
-//! Alongside keyed entries, a store carries **named coordination
-//! files** for cooperating processes (the distributed pair-shard
-//! analysis drives these):
+//! Every file of a store — entries, blobs, claims, the compaction lock —
+//! lives in its one root directory, at a path that is a pure function of
+//! its name. Subdirectories are never read, counted, or swept, so a
+//! `shards/` tree left by an older build's hash-prefix layout holds only
+//! cold misses and may be deleted by hand. Alongside keyed entries, a
+//! store carries **named
+//! coordination files** for cooperating processes (the distributed
+//! pair-shard analysis drives these):
 //!
 //! * [`PersistentStore::put_blob`] / [`get_blob`](PersistentStore::get_blob)
 //!   — checksummed, atomically renamed payloads addressed by name
@@ -287,14 +271,6 @@ pub const ORPHAN_SWEEP_AGE: Duration = Duration::from_secs(30);
 /// Name of the advisory compaction lock file inside a store directory.
 const COMPACT_LOCK_NAME: &str = "compact.lock";
 
-/// Name of the subdirectory holding the hash-prefix shards of a sharded
-/// store (see [`StoreOptions::shards`]).
-pub const SHARDS_DIR_NAME: &str = "shards";
-
-/// Upper bound of [`StoreOptions::shards`]: shard subdirectories are
-/// named by a two-hex-digit hash prefix, so at most 256 are distinct.
-pub const MAX_SHARDS: usize = 256;
-
 /// File extension of named blobs ([`PersistentStore::put_blob`]).
 pub const BLOB_EXTENSION: &str = "blob";
 
@@ -316,9 +292,9 @@ const MAX_DEFERRED_ERRORS: usize = 32;
 /// Key of one stored analysis: the snapshot's content hash plus the
 /// computation's provenance — `None` for a cold run, `Some(digest of the
 /// seeding prior)` for a warm-started one (see
-/// [`PipelineResult::content_digest`]). Mirrors the `sailing` facade's
-/// in-memory cache key, so the two tiers never confuse a warm-seeded
-/// result with a cold one.
+/// [`PipelineResult::content_digest`]). The `sailing` facade keys its
+/// in-memory cache and its in-flight table by this same type, so the two
+/// tiers never confuse a warm-seeded result with a cold one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StoreKey {
     /// [`SnapshotView::content_hash`] of the analyzed snapshot.
@@ -389,11 +365,6 @@ pub struct StoreOptions {
     /// writer to drain before detaching it. Defaults to
     /// [`SHUTDOWN_DRAIN_DEADLINE`].
     pub shutdown_deadline: Duration,
-    /// Number of hash-prefix subdirectory shards the directory is split
-    /// into (`shards/00/ … shards/xx/`). `0` — the default — keeps the
-    /// historical flat layout. See [`StoreOptions::shards`] and the
-    /// [module docs](self#sharded-directory-layout).
-    pub shards: usize,
 }
 
 impl Default for StoreOptions {
@@ -406,7 +377,6 @@ impl Default for StoreOptions {
             breaker_threshold: 0,
             breaker_cooldown: Duration::ZERO,
             shutdown_deadline: SHUTDOWN_DRAIN_DEADLINE,
-            shards: 0,
         }
     }
 }
@@ -451,23 +421,6 @@ impl StoreOptions {
     #[must_use]
     pub fn shutdown_deadline(mut self, deadline: Duration) -> Self {
         self.shutdown_deadline = deadline;
-        self
-    }
-
-    /// Splits the store directory into `n` hash-prefix subdirectory
-    /// shards (`shards/00/ … shards/xx/`, clamped to at most
-    /// [`MAX_SHARDS`]; `0` keeps the flat legacy layout). Every entry,
-    /// blob, and claim file lands in the shard its *file name* hashes to,
-    /// so no single directory listing grows with the whole store, and
-    /// each shard carries its own `compact.lock` — compactions of
-    /// different shards no longer serialise. Opening a sharded store over
-    /// a flat-layout directory migrates the flat entries into their
-    /// shards; reads cover both layouts throughout, so processes on
-    /// either layout interoperate. See the
-    /// [module docs](self#sharded-directory-layout).
-    #[must_use]
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.min(MAX_SHARDS);
         self
     }
 }
@@ -563,10 +516,8 @@ pub struct CompactReport {
     /// instead of deleted. Also counted in
     /// [`CompactReport::kept`].
     pub restored: usize,
-    /// `true` when another compactor held the `compact.lock` of at least
-    /// one layout directory, which was skipped. A flat store sweeps
-    /// nothing in that case; a sharded store still sweeps every shard it
-    /// *did* lock — contention is per shard, not per store.
+    /// `true` when another compactor held the store's `compact.lock`, so
+    /// this call swept nothing.
     pub contended: bool,
 }
 
@@ -669,24 +620,6 @@ impl StoreInner {
         recover(self.state.lock())
     }
 
-    /// Where a file of this name belongs under the configured layout:
-    /// its hash shard when sharding is on, the root directory otherwise.
-    fn file_path(&self, file_name: &str) -> PathBuf {
-        match shard_subdir(&self.dir, self.options.shards, file_name) {
-            Some(shard) => shard.join(file_name),
-            None => self.dir.join(file_name),
-        }
-    }
-
-    /// Every directory entries may live in: the root (flat layout, and
-    /// the legacy location sharded stores keep reading) plus each shard
-    /// subdirectory when sharding is on.
-    fn entry_dirs(&self) -> Vec<PathBuf> {
-        let mut dirs = vec![self.dir.clone()];
-        dirs.extend(shard_subdirs(&self.dir, self.options.shards));
-        dirs
-    }
-
     fn push_deferred(&self, err: SailingError) {
         let mut deferred = recover(self.deferred.lock());
         if deferred.len() < MAX_DEFERRED_ERRORS {
@@ -711,11 +644,10 @@ impl StoreInner {
     }
 
     /// The one atomic publish, for entries and blobs alike: writes
-    /// `bytes` to a unique temp file next to the named file's final path
-    /// (same shard, so the rename never crosses directories), then
-    /// renames it into place. A reader sees the previous file or the
-    /// complete new one, never a torn write; a failed rename removes its
-    /// temp file.
+    /// `bytes` to a unique temp file in the store directory, then renames
+    /// it into place under `file_name`. A reader sees the previous file or
+    /// the complete new one, never a torn write; a failed rename removes
+    /// its temp file.
     fn publish(&self, file_name: &str, bytes: &[u8]) -> Result<(), SailingError> {
         // The temp name must be unique per *write*, not just per process:
         // two in-process writers can race on one name (two handles
@@ -723,8 +655,8 @@ impl StoreInner {
         // path would let one write truncate the other mid-stream and
         // publish a torn file.
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let final_path = self.file_path(file_name);
-        let tmp_path = final_path.with_file_name(format!(
+        let final_path = self.dir.join(file_name);
+        let tmp_path = self.dir.join(format!(
             "{file_name}.tmp-{}-{}",
             std::process::id(),
             WRITE_SEQ.fetch_add(1, Ordering::Relaxed)
@@ -967,16 +899,8 @@ impl PersistentStore {
             .map_err(|e| SailingError::persist(dir.display().to_string(), e))?;
         let options = StoreOptions {
             queue_depth: options.queue_depth.max(1),
-            shards: options.shards.min(MAX_SHARDS),
             ..options
         };
-        if options.shards > 0 {
-            for shard in shard_subdirs(&dir, options.shards) {
-                fs.create_dir_all(&shard)
-                    .map_err(|e| SailingError::persist(shard.display().to_string(), e))?;
-            }
-            migrate_flat_entries(fs.as_ref(), &dir, options.shards);
-        }
         let inner = Arc::new(StoreInner {
             dir,
             options,
@@ -1077,15 +1001,11 @@ impl PersistentStore {
         recover(self.inner.fs_write_threads.lock()).clone()
     }
 
-    /// Number of entry files currently on disk across every layout
-    /// directory — the root plus each shard (excluding buffered writes;
-    /// call [`PersistentStore::flush`] first for an exact total).
+    /// Number of entry files currently in the store directory (excluding
+    /// buffered writes; call [`PersistentStore::flush`] first for an
+    /// exact total).
     pub fn len(&self) -> usize {
-        self.inner
-            .entry_dirs()
-            .iter()
-            .map(|d| entry_files(self.inner.fs.as_ref(), d).len())
-            .sum()
+        entry_files(self.inner.fs.as_ref(), &self.inner.dir).len()
     }
 
     /// `true` when no entry file is on disk.
@@ -1116,33 +1036,18 @@ impl PersistentStore {
                 }
             }
         }
-        // Sharded stores read the shard location first, then fall back to
-        // the flat legacy path: a concurrent flat-layout writer (or an
-        // entry the open-time migration has not moved yet) stays a hit.
-        let file_name = key.file_name();
-        let sharded_path = self.inner.file_path(&file_name);
-        let flat_path = self.inner.dir.join(&file_name);
-        let mut candidates = vec![sharded_path];
-        if candidates[0] != flat_path {
-            candidates.push(flat_path);
-        }
-        let mut saw_invalid = false;
-        for path in candidates {
-            let Ok(bytes) = self.inner.fs.read(&path) else {
-                continue;
-            };
+        if let Ok(bytes) = self.inner.fs.read(&self.inner.dir.join(key.file_name())) {
             match decode_entry(&bytes) {
                 Ok(entry) if entry.key == key && entry.snapshot == *snapshot => {
                     self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return Some((Arc::new(entry.snapshot), Arc::new(entry.result)));
                 }
-                _ => saw_invalid = true,
+                // Damaged, stale-version, or mismatched content: a clean
+                // cold miss by contract.
+                _ => {
+                    self.inner.rejected.fetch_add(1, Ordering::Relaxed);
+                }
             }
-        }
-        // Damaged, stale-version, or mismatched content: a clean cold
-        // miss by contract.
-        if saw_invalid {
-            self.inner.rejected.fetch_add(1, Ordering::Relaxed);
         }
         self.inner.disk_misses.fetch_add(1, Ordering::Relaxed);
         None
@@ -1276,26 +1181,20 @@ impl PersistentStore {
     pub fn compact(&self) -> Result<CompactReport, SailingError> {
         self.inner.drain(None, true);
         let mut report = CompactReport::default();
-        // Each layout directory — the root plus every shard — is swept
-        // under its *own* `compact.lock`, so two compactors over one
-        // sharded store proceed on disjoint shards instead of
-        // serialising; only the directories someone else holds are
-        // skipped (and flagged contended).
-        for dir in self.inner.entry_dirs() {
-            let Some(_lock) = CompactLock::acquire(&self.inner.fs, &dir)? else {
-                report.contended = true;
-                continue;
-            };
-            self.compact_dir(&dir, &mut report)?;
-        }
+        let Some(_lock) = CompactLock::acquire(&self.inner.fs, &self.inner.dir)? else {
+            report.contended = true;
+            return Ok(report);
+        };
+        self.compact_dir(&mut report)?;
         Ok(report)
     }
 
-    /// Sweeps one layout directory (the caller holds its compact lock):
+    /// Sweeps the store directory (the caller holds its compact lock):
     /// entry validation with capture-revalidate-restore, then the
     /// age-gated orphan sweep.
-    fn compact_dir(&self, dir: &Path, report: &mut CompactReport) -> Result<(), SailingError> {
+    fn compact_dir(&self, report: &mut CompactReport) -> Result<(), SailingError> {
         let fs = self.inner.fs.as_ref();
+        let dir = self.inner.dir.as_path();
         for path in entry_files(fs, dir) {
             let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
                 continue;
@@ -1372,11 +1271,11 @@ impl PersistentStore {
 
     /// Durably publishes `bytes` as the named blob — a checksummed,
     /// atomically renamed coordination file addressed by `name` instead
-    /// of a [`StoreKey`]. Blobs live in the same (sharded) directory
-    /// layout as entries but are invisible to `get`/`len`/`compact`'s
-    /// entry sweep; shard workers use them to exchange partial results
-    /// (see the [module docs](self#sharded-directory-layout)). A re-put
-    /// under the same name atomically replaces the previous blob.
+    /// of a [`StoreKey`]. Blobs live in the store directory beside
+    /// entries but are invisible to `get`/`len`/`compact`'s entry sweep;
+    /// shard workers use them to exchange partial results (see the
+    /// [module docs](self#coordination-files)). A re-put under the same
+    /// name atomically replaces the previous blob.
     ///
     /// # Errors
     /// [`SailingError::InvalidConfig`] for an unusable name (empty, too
@@ -1394,7 +1293,7 @@ impl PersistentStore {
     /// miss-never-error contract.
     pub fn get_blob(&self, name: &str) -> Option<Vec<u8>> {
         let file_name = blob_file_name(name, BLOB_EXTENSION).ok()?;
-        let bytes = self.inner.fs.read(&self.inner.file_path(&file_name)).ok()?;
+        let bytes = self.inner.fs.read(&self.inner.dir.join(file_name)).ok()?;
         unframe(BLOB_MAGIC, &bytes).ok().map(<[u8]>::to_vec)
     }
 
@@ -1405,26 +1304,25 @@ impl PersistentStore {
         };
         self.inner
             .fs
-            .remove_file(&self.inner.file_path(&file_name))
+            .remove_file(&self.inner.dir.join(file_name))
             .is_ok()
     }
 
     /// Attempts to take the named advisory claim: an `O_CREAT|O_EXCL`
-    /// marker file in the store's (sharded) layout. Exactly one
-    /// cooperating process wins each name; the rest observe `false` and
-    /// move on. Claims are coordination hints, not locks — a claimed
-    /// work unit that never publishes its result is simply recomputed by
-    /// whoever needs it (see the multi-process shard protocol in the
-    /// [module docs](self#sharded-directory-layout)).
+    /// marker file in the store directory. Exactly one cooperating
+    /// process wins each name; the rest observe `false` and move on.
+    /// Claims are coordination hints, not locks — a claimed work unit
+    /// that never publishes its result is simply recomputed by whoever
+    /// needs it (see the multi-process shard protocol in the
+    /// [module docs](self#coordination-files)).
     pub fn try_claim(&self, name: &str) -> bool {
         let Ok(file_name) = blob_file_name(name, CLAIM_EXTENSION) else {
             return false;
         };
-        let path = self.inner.file_path(&file_name);
         let token = format!("{} {}", std::process::id(), unix_millis());
         self.inner
             .fs
-            .create_exclusive(&path, token.as_bytes())
+            .create_exclusive(&self.inner.dir.join(file_name), token.as_bytes())
             .is_ok()
     }
 
@@ -1436,7 +1334,7 @@ impl PersistentStore {
         };
         self.inner
             .fs
-            .remove_file(&self.inner.file_path(&file_name))
+            .remove_file(&self.inner.dir.join(file_name))
             .is_ok()
     }
 }
@@ -1608,43 +1506,6 @@ pub fn checksum_bytes(bytes: &[u8]) -> u64 {
     let rem = chunks.remainder();
     last[..rem.len()].copy_from_slice(rem);
     fx_mix(h, u64::from_le_bytes(last))
-}
-
-/// The shard subdirectory a file name hashes to under an `n`-way sharded
-/// layout (`None` when `shards == 0`, the flat layout). The shard index
-/// is a pure function of the *file name* — any process that knows the
-/// name finds the file without a directory scan.
-fn shard_subdir(dir: &Path, shards: usize, file_name: &str) -> Option<PathBuf> {
-    if shards == 0 {
-        return None;
-    }
-    let idx = checksum_bytes(file_name.as_bytes()) % shards as u64;
-    Some(dir.join(SHARDS_DIR_NAME).join(format!("{idx:02x}")))
-}
-
-/// Every shard subdirectory of an `n`-way sharded layout (empty for the
-/// flat layout).
-fn shard_subdirs(dir: &Path, shards: usize) -> Vec<PathBuf> {
-    (0..shards)
-        .map(|i| dir.join(SHARDS_DIR_NAME).join(format!("{i:02x}")))
-        .collect()
-}
-
-/// Best-effort migration of flat-layout entry files into their hash
-/// shards, run once per sharded open. Each move is one atomic rename, so
-/// a concurrent reader sees the entry at exactly one of its two possible
-/// locations — and the read path checks both. A failed rename leaves the
-/// entry in place: the dual-layout read keeps serving it and the next
-/// open retries.
-fn migrate_flat_entries(fs: &dyn StoreFs, dir: &Path, shards: usize) {
-    for path in entry_files(fs, dir) {
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if let Some(shard) = shard_subdir(dir, shards, name) {
-            let _ = fs.rename(&path, &shard.join(name));
-        }
-    }
 }
 
 /// Validates a blob/claim name and appends the extension. Names address
@@ -2644,64 +2505,40 @@ mod tests {
     }
 
     #[test]
-    fn sharded_roundtrip_places_entries_in_their_shard() {
-        let dir = temp_dir("sharded-roundtrip");
+    fn leftover_shard_files_are_inert() {
+        let dir = temp_dir("leftover-shards");
         let (snapshot, result, key) = table1_entry();
-        let opts = StoreOptions::default().shards(4);
-        {
-            let store = PersistentStore::open_with(&dir, opts).unwrap();
-            store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
-            store.flush().unwrap();
-            assert_eq!(store.len(), 1);
-            // The file sits in exactly the shard its name hashes to —
-            // findable without a scan by any process that knows the key.
-            let name = key.file_name();
-            let expected = shard_subdir(&dir, 4, &name).unwrap().join(&name);
-            assert!(expected.exists(), "{}", expected.display());
-            assert!(!dir.join(&name).exists(), "not in the flat root");
-        }
-        // A second sharded handle (another process in production) hits.
-        let reopened = PersistentStore::open_with(&dir, opts).unwrap();
-        let (snap, loaded) = reopened.get(key, &snapshot).expect("disk hit");
-        assert_eq!(*snap, *snapshot);
-        assert_eq!(loaded.decisions_sorted(), result.decisions_sorted());
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        // A valid entry under `shards/0a/`, as an older build's hash-prefix
+        // layout would have left it: the store never looks there.
+        let shard = dir.join("shards").join("0a");
+        std::fs::create_dir_all(&shard).unwrap();
+        let planted = shard.join(key.file_name());
+        std::fs::write(&planted, encode_entry(key, &snapshot, &result)).unwrap();
 
-    #[test]
-    fn opening_sharded_migrates_flat_entries_and_reads_both_layouts() {
-        let dir = temp_dir("shard-migration");
-        let (snapshot, result, key) = table1_entry();
-        {
-            let flat = PersistentStore::open(&dir).unwrap();
-            flat.put(key, Arc::clone(&snapshot), Arc::clone(&result));
-            flat.flush().unwrap();
-            assert!(dir.join(key.file_name()).exists());
-        }
-        let sharded = PersistentStore::open_with(&dir, StoreOptions::default().shards(8)).unwrap();
-        let name = key.file_name();
-        let shard_path = shard_subdir(&dir, 8, &name).unwrap().join(&name);
-        assert!(shard_path.exists(), "migrated into its shard");
-        assert!(!dir.join(&name).exists(), "gone from the flat root");
-        assert_eq!(sharded.len(), 1);
-        assert!(sharded.get(key, &snapshot).is_some());
+        let store = PersistentStore::open(&dir).unwrap();
+        assert!(store.get(key, &snapshot).is_none(), "a cold miss");
+        let stats = store.stats();
+        assert_eq!((stats.disk_misses, stats.rejected), (1, 0), "{stats:?}");
+        assert_eq!(store.len(), 0, "not counted");
+        let report = store.compact().unwrap();
+        assert_eq!(report, CompactReport::default(), "nothing swept");
+        assert!(planted.exists(), "compaction leaves the subdirectory alone");
 
-        // An entry that appears in the flat root *after* migration (a
-        // flat-layout writer sharing the dir) is still served.
-        std::fs::remove_file(&shard_path).unwrap();
-        let entry = encode_entry(key, &snapshot, &result);
-        std::fs::write(dir.join(&name), entry).unwrap();
-        assert!(
-            sharded.get(key, &snapshot).is_some(),
-            "dual-layout read covers the flat location"
-        );
+        // A root entry beside it still hits.
+        store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
+        store.flush().unwrap();
+        assert!(store.get(key, &snapshot).is_some());
+        assert_eq!(store.stats().disk_hits, 1);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.compact().unwrap().kept, 1);
+        assert!(planted.exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn blob_and_claim_roundtrip_with_damage_as_none() {
         let dir = temp_dir("blobs");
-        let store = PersistentStore::open_with(&dir, StoreOptions::default().shards(4)).unwrap();
+        let store = PersistentStore::open(&dir).unwrap();
         assert!(store.get_blob("partial-0").is_none(), "absent reads None");
         store.put_blob("partial-0", b"payload bytes").unwrap();
         assert_eq!(store.get_blob("partial-0").unwrap(), b"payload bytes");
@@ -2713,7 +2550,7 @@ mod tests {
 
         // A torn/corrupted blob degrades to a clean None.
         let name = blob_file_name("partial-0", BLOB_EXTENSION).unwrap();
-        let path = shard_subdir(&dir, 4, &name).unwrap().join(&name);
+        let path = dir.join(&name);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(bytes.len() - 1);
         std::fs::write(&path, &bytes).unwrap();
@@ -2722,7 +2559,7 @@ mod tests {
         // Claims: exactly one winner per name, idempotent removal.
         assert!(store.try_claim("shard-0-4"));
         assert!(!store.try_claim("shard-0-4"), "second claimant loses");
-        let other = PersistentStore::open_with(&dir, StoreOptions::default().shards(4)).unwrap();
+        let other = PersistentStore::open(&dir).unwrap();
         assert!(!other.try_claim("shard-0-4"), "other handles lose too");
         assert!(store.remove_claim("shard-0-4"));
         assert!(!store.remove_claim("shard-0-4"), "already gone");
@@ -2732,40 +2569,6 @@ mod tests {
         assert!(store.put_blob("../escape", b"x").is_err());
         assert!(store.get_blob("").is_none());
         assert!(!store.try_claim("a/b"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_compaction_skips_only_locked_shards() {
-        let dir = temp_dir("shard-compact");
-        let (snapshot, result, key) = table1_entry();
-        let opts = StoreOptions::default().shards(4);
-        let store = PersistentStore::open_with(&dir, opts).unwrap();
-        store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
-        store.flush().unwrap();
-        // Plant damage in a *different* shard than the valid entry's.
-        let name = key.file_name();
-        let own_shard = shard_subdir(&dir, 4, &name).unwrap();
-        let other_shard = shard_subdirs(&dir, 4)
-            .into_iter()
-            .find(|s| *s != own_shard)
-            .unwrap();
-        std::fs::write(other_shard.join("0000000000000bad-cold.sail"), b"junk").unwrap();
-
-        // Hold the damaged shard's compact.lock, as a concurrent
-        // compactor would.
-        std::fs::write(other_shard.join(COMPACT_LOCK_NAME), b"held").unwrap();
-        let report = store.compact().unwrap();
-        assert!(report.contended, "locked shard was skipped");
-        assert_eq!(report.kept, 1, "unlocked shards swept normally");
-        assert_eq!(report.removed, 0, "damage sits in the locked shard");
-
-        // Release the lock: the next sweep removes the damage.
-        std::fs::remove_file(other_shard.join(COMPACT_LOCK_NAME)).unwrap();
-        let report = store.compact().unwrap();
-        assert!(!report.contended);
-        assert_eq!(report.kept, 1);
-        assert_eq!(report.removed, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -8,9 +8,9 @@
 //! still asserts its merged result is bit-identical to a monolithic
 //! [`SailingEngine::analyze`] run with the same parameters.
 //!
-//! The run also seeds the store in the *flat* (unsharded) directory layout
-//! before reopening it hash-sharded, so concurrent instances exercise the
-//! flat→sharded migration while peers are reading and writing.
+//! Each run first seeds the store with the monolithic analysis and reopens
+//! it with the in-memory cache off, so the reopened engine must read that
+//! entry back from disk while peers are reading and writing.
 //!
 //! ```text
 //! export SAILING_PERSIST_DIR="$(mktemp -d)"
@@ -30,11 +30,6 @@ use std::sync::Arc;
 
 use sailing::datagen::{SnapshotWorld, WorldConfig};
 use sailing::engine::SailingEngine;
-use sailing::persist::StoreOptions;
-
-/// Store shard count for the demo: small enough to eyeball on disk, large
-/// enough that the migration actually fans entries out.
-const STORE_SHARDS: usize = 8;
 
 fn main() -> Result<(), sailing::SailingError> {
     let dir = std::env::var("SAILING_PERSIST_DIR")
@@ -51,41 +46,28 @@ fn main() -> Result<(), sailing::SailingError> {
 
     println!("== shard_workers: store {dir} ({workers} pair-ranges) ==");
 
-    // Phase 0: seed the store in the FLAT layout. Concurrent instances may
-    // already have migrated it — their sharded entries are simply invisible
-    // to this flat handle, and the rewrite below is harmless.
+    // Seed the store, then reopen it with cache capacity 0 so the probe
+    // must go to disk. Entry writes are atomic renames and compaction only
+    // removes invalid entries, so a peer's concurrent rewrite of the same
+    // key can never turn this probe into a miss.
     {
-        let flat = SailingEngine::builder().persist_dir(&dir).build()?;
-        flat.analyze_owned(Arc::clone(&snapshot));
-        flat.flush_persist()?;
+        let seed = SailingEngine::builder().persist_dir(&dir).build()?;
+        seed.analyze_owned(Arc::clone(&snapshot));
+        seed.flush_persist()?;
     }
-
-    // Phase 1: reopen hash-sharded. Opening migrates flat entries into
-    // `shards/xx/`; a concurrent peer may be mid-migration, so a single
-    // probe can race a rename — the miss rewrites the entry sharded and
-    // the next probe must hit. Cache capacity 0 forces every probe to disk.
     let engine = SailingEngine::builder()
         .persist_dir(&dir)
-        .persist_options(StoreOptions::default().shards(STORE_SHARDS))
         .cache_capacity(0)
         .build()?;
-    for _ in 0..2 {
-        engine.analyze_owned(Arc::clone(&snapshot));
-        if engine.cache_stats().disk_hits >= 1 {
-            break;
-        }
-    }
+    engine.analyze_owned(Arc::clone(&snapshot));
     let stats = engine.cache_stats();
-    assert!(
-        stats.disk_hits >= 1,
-        "flat-seeded analysis must stay readable through the sharded migration: {stats:?}"
+    assert_eq!(
+        stats.disk_hits, 1,
+        "the seeded analysis must be a disk hit on reopen: {stats:?}"
     );
-    println!(
-        "  ✓ flat→sharded migration kept the seeded analysis readable (disk hits {})",
-        stats.disk_hits
-    );
+    println!("  ✓ reopened store served the seeded analysis from disk");
 
-    // Phase 2: cooperative pair-sharded analysis. Ranges are claimed through
+    // Cooperative pair-sharded analysis. Ranges are claimed through
     // the store, partials published as blobs; whoever loses a claim adopts
     // the winner's partial. The merged result must match a monolithic run
     // bit for bit.

@@ -291,13 +291,12 @@ impl SailingEngineBuilder {
     }
 
     /// Configures the persistent store's write path — async writer and
-    /// queue bound, retry, circuit breaker, drop-drain deadline, and
-    /// hash-prefix sharding — as one [`StoreOptions`] value, passed as is
-    /// to [`PersistentStore::open_with`] (which clamps it; read the
-    /// effective value back from [`SailingEngine::persist_store`]).
-    /// Defaults to [`StoreOptions::default`]: synchronous writes, no
-    /// retry, no breaker, flat layout. No effect without
-    /// [`SailingEngineBuilder::persist_dir`].
+    /// queue bound, retry, circuit breaker, and drop-drain deadline — as
+    /// one [`StoreOptions`] value, passed as is to
+    /// [`PersistentStore::open_with`] (which clamps it; read the effective
+    /// value back from [`SailingEngine::persist_store`]). Defaults to
+    /// [`StoreOptions::default`]: synchronous writes, no retry, no breaker.
+    /// No effect without [`SailingEngineBuilder::persist_dir`].
     ///
     /// With [`StoreOptions::async_writer`] the analysis path performs
     /// **zero filesystem syscalls**: `analyze`/`analyze_owned` enqueue
@@ -974,7 +973,7 @@ impl SailingEngine {
     /// (`CacheStats::inflight_waits` counts the adopters).
     fn lookup_or_compute(
         &self,
-        key: CacheKey,
+        key: StoreKey,
         snapshot: SnapshotInput<'_>,
         prior: Option<&PipelineResult>,
     ) -> (Arc<SnapshotView>, Arc<PipelineResult>, bool) {
@@ -985,7 +984,7 @@ impl SailingEngine {
             Admission::Served(snap, result) => (snap, result, true),
             Admission::Lead(guard) => {
                 if let Some(store) = self.persist.as_deref() {
-                    let disk = store.get(key.store_key(), snapshot.view());
+                    let disk = store.get(key, snapshot.view());
                     self.cache.note_disk_probe(disk.is_some());
                     if let Some((snap, result)) = disk {
                         let (snap, result) = self.cache.insert_or_get(key, snap, result);
@@ -1018,7 +1017,7 @@ impl SailingEngine {
     /// tier missed with a store attached.
     fn probe(
         &self,
-        key: CacheKey,
+        key: StoreKey,
         snapshot: &SnapshotView,
     ) -> Option<(Arc<SnapshotView>, Arc<PipelineResult>)> {
         if self.cache.enabled() {
@@ -1029,7 +1028,7 @@ impl SailingEngine {
             self.cache.note_miss();
         }
         let store = self.persist.as_deref()?;
-        let disk = store.get(key.store_key(), snapshot);
+        let disk = store.get(key, snapshot);
         self.cache.note_disk_probe(disk.is_some());
         let (snap, result) = disk?;
         Some(self.cache.insert_or_get(key, snap, result))
@@ -1045,7 +1044,7 @@ impl SailingEngine {
     /// how a run ended, so a later reader could not tell it apart.
     fn retain_result(
         &self,
-        key: CacheKey,
+        key: StoreKey,
         snapshot: Arc<SnapshotView>,
         result: Arc<PipelineResult>,
     ) -> (Arc<SnapshotView>, Arc<PipelineResult>) {
@@ -1053,7 +1052,7 @@ impl SailingEngine {
             return (snapshot, result);
         }
         if let Some(store) = &self.persist {
-            store.put(key.store_key(), Arc::clone(&snapshot), Arc::clone(&result));
+            store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
         }
         self.cache.insert_or_get(key, snapshot, result)
     }
@@ -1067,7 +1066,7 @@ impl SailingEngine {
         result: Arc<PipelineResult>,
     ) -> Analysis {
         let derived = Arc::new(Derived {
-            matrix: result.dependence_matrix(),
+            matrix: OnceLock::new(),
             reports: OnceLock::new(),
             trust: OnceLock::new(),
             fused: OnceLock::new(),
@@ -1121,7 +1120,9 @@ impl std::fmt::Debug for SailingEngine {
 /// Everything the engine learned about one snapshot, computed once.
 ///
 /// All accessors are cheap: the pipeline ran during
-/// [`SailingEngine::analyze_owned`], and the dependence matrix is prebuilt.
+/// [`SailingEngine::analyze_owned`], and what is derived from its result
+/// (the dependence matrix, reports, trust scores, fusion outcome) is built
+/// on first use, once per analysis.
 /// The handle **owns** its data through [`Arc`]s — it is `Send + 'static`,
 /// so analyses can be stored beyond the snapshot's scope, kept alive across
 /// epochs of a timeline, and shared across threads; cloning bumps reference
@@ -1134,7 +1135,7 @@ pub struct Analysis {
     /// `fuse()` bumps a reference count instead of deep-cloning the full
     /// posterior payload per call.
     result: Arc<PipelineResult>,
-    /// The dependence matrix and the memos, shared by every clone.
+    /// The memos, shared by every clone.
     derived: Arc<Derived>,
     params: DetectionParams,
     trust_weights: TrustWeights,
@@ -1142,11 +1143,13 @@ pub struct Analysis {
 }
 
 /// What an [`Analysis`] derives from its pipeline result. It sits behind
-/// one [`Arc`], so clones of an analysis share the matrix and whatever
-/// memo any of them filled.
+/// one [`Arc`], so clones of an analysis share whatever memo any of them
+/// filled.
 #[derive(Debug)]
 struct Derived {
-    matrix: DependenceMatrix,
+    /// The dependence matrix; memoised so a cache or disk hit that never
+    /// reads it does not pay for building it.
+    matrix: OnceLock<DependenceMatrix>,
     /// Per-source reports; memoised so repeated `source_reports()` /
     /// `top_k()` calls do not redo the O(sources²) summary work.
     reports: OnceLock<Vec<SourceReport>>,
@@ -1209,9 +1212,12 @@ impl Analysis {
         self.result.dependent_pairs(threshold)
     }
 
-    /// The cached dependence matrix implied by the detected pairs.
+    /// The dependence matrix implied by the detected pairs, built on
+    /// first use and then memoised.
     pub fn dependence_matrix(&self) -> &DependenceMatrix {
-        &self.derived.matrix
+        self.derived
+            .matrix
+            .get_or_init(|| self.result.dependence_matrix())
     }
 
     /// Hard truth decisions: most probable value per object, in ascending
@@ -1241,7 +1247,7 @@ impl Analysis {
     pub fn source_reports(&self) -> &[SourceReport] {
         self.derived.reports.get_or_init(|| {
             self.result
-                .source_reports_with(&self.snapshot, &self.derived.matrix)
+                .source_reports_with(&self.snapshot, self.dependence_matrix())
         })
     }
 
@@ -1271,7 +1277,7 @@ impl Analysis {
         OnlineSession::new(
             &self.snapshot,
             self.result.accuracies.clone(),
-            self.derived.matrix.clone(),
+            self.dependence_matrix().clone(),
             self.params.clone(),
         )
     }
@@ -1282,7 +1288,7 @@ impl Analysis {
         order_sources(
             &self.snapshot,
             &self.result.accuracies,
-            &self.derived.matrix,
+            self.dependence_matrix(),
             policy,
         )
     }
@@ -1307,7 +1313,7 @@ impl Analysis {
             trust_scores(
                 &self.snapshot,
                 &self.result.accuracies,
-                &self.derived.matrix,
+                self.dependence_matrix(),
                 self.history.as_deref(),
             )
         })
@@ -1385,33 +1391,6 @@ pub struct CacheStats {
     pub persist: Option<PersistStats>,
 }
 
-/// Cache key: the snapshot's content hash plus the provenance of the
-/// computation — `None` for a cold run, `Some(digest of the seeding
-/// prior)` for a warm one. A warm-started result never answers a cold
-/// request (or one seeded from a *different* prior) and vice versa, so
-/// `analyze()`'s output cannot depend on whether a timeline happened to
-/// walk the same epoch first.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct CacheKey {
-    hash: u64,
-    /// Digest of the warm-start prior ([`PipelineResult::content_digest`]):
-    /// two priors digesting equal presented the same seed to
-    /// [`TruthDiscovery::run_warm`], so their results may share a slot.
-    prior: Option<u64>,
-}
-
-impl CacheKey {
-    /// The persistent tier uses the same `(hash, provenance)` identity, so
-    /// the two tiers can never confuse a warm-seeded result with a cold
-    /// one.
-    fn store_key(self) -> StoreKey {
-        StoreKey {
-            snapshot_hash: self.hash,
-            provenance: self.prior,
-        }
-    }
-}
-
 /// Provenance-lane tags separating quotiented analyses from exact ones
 /// (and cold quotiented runs from warm ones). Arbitrary ASCII constants;
 /// only their distinctness matters.
@@ -1420,7 +1399,10 @@ const QUOTIENT_WARM_PROVENANCE: u64 = 0x7761_726d_2d71_756f; // "warm-quo"
 
 /// Derives the two-tier cache identity for an analysis: the (quotiented)
 /// snapshot's content hash, plus a provenance lane carrying the warm-start
-/// prior and the equivalence backend.
+/// prior and the equivalence backend. A warm-started result never answers
+/// a cold request (or one seeded from a *different* prior) and vice versa,
+/// so `analyze()`'s output cannot depend on whether a timeline happened to
+/// walk the same epoch first.
 ///
 /// The [`ValueQuotient::digest`] is folded into the **provenance** lane,
 /// not the snapshot hash, because persistent-store entries are
@@ -1432,15 +1414,18 @@ const QUOTIENT_WARM_PROVENANCE: u64 = 0x7761_726d_2d71_756f; // "warm-quo"
 /// identity) lands on a disjoint provenance, so an exact analysis never
 /// aliases a normalized one, in memory or on disk, and two backends that
 /// rewrite to the same quotiented snapshot still key apart.
-fn quotient_cache_key(hash: u64, quotient_digest: Option<u64>, prior: Option<u64>) -> CacheKey {
-    let prior = match (quotient_digest, prior) {
+fn quotient_cache_key(hash: u64, quotient_digest: Option<u64>, prior: Option<u64>) -> StoreKey {
+    let provenance = match (quotient_digest, prior) {
         (None, prior) => prior,
         (Some(digest), None) => Some(fx_mix(QUOTIENT_COLD_PROVENANCE, digest)),
         (Some(digest), Some(prior)) => {
             Some(fx_mix(fx_mix(QUOTIENT_WARM_PROVENANCE, digest), prior))
         }
     };
-    CacheKey { hash, prior }
+    StoreKey {
+        snapshot_hash: hash,
+        provenance,
+    }
 }
 
 /// Folds a [`ValueQuotient::digest`] into a snapshot content hash for the
@@ -1459,12 +1444,12 @@ fn quotient_keyed_hash(hash: u64, quotient_digest: Option<u64>) -> u64 {
 /// verify hits against hash collisions and to let borrowed-snapshot calls
 /// reuse the allocation) and the converged result.
 struct CacheEntry {
-    key: CacheKey,
+    key: StoreKey,
     snapshot: Arc<SnapshotView>,
     result: Arc<PipelineResult>,
 }
 
-/// A bounded LRU of converged pipeline results keyed by [`CacheKey`].
+/// A bounded LRU of converged pipeline results keyed by [`StoreKey`].
 ///
 /// The engine's configuration (strategy + parameters) is immutable after
 /// `build()`, so hash + provenance identify an analysis; the stored
@@ -1484,7 +1469,7 @@ struct AnalysisCache {
     /// registered even when `capacity == 0` with a persistent store
     /// attached — single-flight dedupes concurrent *work*, which is
     /// orthogonal to how many finished results are retained.
-    flights: Mutex<Vec<(CacheKey, Arc<Inflight>)>>,
+    flights: Mutex<Vec<(StoreKey, Arc<Inflight>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inflight_waits: AtomicU64,
@@ -1535,7 +1520,7 @@ impl AnalysisCache {
     /// requested one and refreshing its recency on a hit.
     fn get(
         &self,
-        key: CacheKey,
+        key: StoreKey,
         snapshot: &SnapshotView,
     ) -> Option<(Arc<SnapshotView>, Arc<PipelineResult>)> {
         if self.capacity == 0 {
@@ -1575,7 +1560,7 @@ impl AnalysisCache {
     /// slot, which is slow but never wrong.
     fn insert_or_get(
         &self,
-        key: CacheKey,
+        key: StoreKey,
         snapshot: Arc<SnapshotView>,
         result: Arc<PipelineResult>,
     ) -> (Arc<SnapshotView>, Arc<PipelineResult>) {
@@ -1612,7 +1597,7 @@ impl AnalysisCache {
     /// either way the adoption is counted in
     /// [`CacheStats::inflight_waits`]. An abandoned flight (leader
     /// panicked) wakes the waiters to retry, so one of them leads next.
-    fn admit(&self, key: CacheKey, snapshot: &SnapshotView) -> Admission<'_> {
+    fn admit(&self, key: StoreKey, snapshot: &SnapshotView) -> Admission<'_> {
         loop {
             let flight = {
                 let mut flights = self.flights.lock().expect("analysis flights poisoned");
@@ -1660,7 +1645,7 @@ impl AnalysisCache {
     }
 
     /// Deregisters a flight and publishes its outcome to every waiter.
-    fn finish_flight(&self, key: CacheKey, flight: &Arc<Inflight>, outcome: FlightState) {
+    fn finish_flight(&self, key: StoreKey, flight: &Arc<Inflight>, outcome: FlightState) {
         let mut flights = self.flights.lock().expect("analysis flights poisoned");
         flights.retain(|(k, f)| !(*k == key && Arc::ptr_eq(f, flight)));
         drop(flights);
@@ -1725,7 +1710,7 @@ enum FlightState {
 /// wedge a herd of waiters.
 struct FlightGuard<'a> {
     cache: &'a AnalysisCache,
-    key: CacheKey,
+    key: StoreKey,
     flight: Arc<Inflight>,
     completed: bool,
 }
@@ -1935,7 +1920,10 @@ impl TimelineSession {
                 None,
             );
             let (snapshot, result) = self.engine.retain_result(key, snapshot, Arc::new(result));
-            by_hash.insert(key.hash, (Arc::clone(&snapshot), Arc::clone(&result)));
+            by_hash.insert(
+                key.snapshot_hash,
+                (Arc::clone(&snapshot), Arc::clone(&result)),
+            );
             self.batched.insert(
                 at,
                 BatchSlot {
@@ -2743,6 +2731,10 @@ mod tests {
         let other = SailingEngine::with_defaults().analyze(&store.snapshot());
         let other_clone = other.clone();
         assert!(std::ptr::eq(
+            other_clone.dependence_matrix(),
+            other.dependence_matrix()
+        ));
+        assert!(std::ptr::eq(
             other_clone.source_reports(),
             other.source_reports()
         ));
@@ -3043,8 +3035,7 @@ mod tests {
         let options = StoreOptions::async_writer(0)
             .retry(2, Duration::from_millis(3))
             .breaker(4, Duration::from_millis(50))
-            .shutdown_deadline(Duration::from_millis(700))
-            .shards(4);
+            .shutdown_deadline(Duration::from_millis(700));
         let engine = SailingEngine::builder()
             .persist_dir(&dir)
             .persist_options(options)
@@ -3061,7 +3052,6 @@ mod tests {
                 breaker_threshold: 4,
                 breaker_cooldown: Duration::from_millis(50),
                 shutdown_deadline: Duration::from_millis(700),
-                shards: 4,
             }
         );
         drop(engine);
