@@ -160,16 +160,19 @@
 //! { canonical JSON payload }
 //! ```
 //!
-//! The payload is deterministic canonical JSON of
-//! `{snapshot_hash, provenance, snapshot, result}`, with floats in
-//! shortest-round-trip form so a load reproduces every `f64` bit for
-//! bit. Unlike the model types' legacy wire shapes (map-per-source
-//! snapshots, map-keyed distributions), the store payload is **compact
-//! by design**: flat numeric arrays (`assertions: [s,o,v, s,o,v, …]`,
-//! `dists: [[v,p, v,p, …], …]`) with no string map keys and no redundant
-//! inverted index — entries are roughly half the legacy size and decode
-//! without a string allocation per assertion, which is what makes a disk
-//! hit decisively cheaper than a discovery re-run. The checksum is an
+//! The payload is canonical JSON of `{snapshot_hash, provenance, snapshot,
+//! result}`: no whitespace, keys in one fixed order, floats in
+//! shortest-round-trip form so a load reproduces every `f64` bit for bit
+//! (a non-finite float is written as `null` and read back as NaN). Unlike
+//! the model types' legacy wire shapes (map-per-source snapshots,
+//! map-keyed distributions), it is **compact by design**: flat numeric
+//! arrays (`assertions: [s,o,v, …]`, `dists: [[v,p, v,p, …], …]`), no
+//! string map keys, no redundant inverted index. One private codec writes
+//! and reads it straight between the result types and bytes, with no JSON
+//! tree in between, which makes a disk hit decisively cheaper than a
+//! discovery re-run. Only that writer produces entries, so the reader takes
+//! the **canonical layout only**: valid JSON that is re-spaced, reordered
+//! or escaped is a clean miss like any other damage. The checksum is an
 //! FxHash-style digest of the payload bytes: not cryptographic, but it
 //! reliably catches truncation and bit rot.
 //!
@@ -221,6 +224,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod entry;
 pub mod fs;
 
 pub use fs::{FaultPlan, FaultyFs, Gate, RealFs, RenameFault, StoreFs, WriteFault};
@@ -231,11 +235,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use serde::{Content, Deserialize, Serialize};
+use serde::Serialize;
 
-use sailing_core::truth::ValueProbabilities;
-use sailing_core::{PairDependence, PipelineResult};
-use sailing_model::{fx_mix, ObjectId, SailingError, SnapshotView, SourceId, ValueId};
+use sailing_core::PipelineResult;
+use sailing_model::{fx_mix, SailingError, SnapshotView};
 
 /// The on-disk format version this build writes and accepts. Files
 /// carrying any other version read as cold misses.
@@ -639,7 +642,7 @@ impl StoreInner {
         }
         self.publish(
             &e.key.file_name(),
-            &encode_entry(e.key, &e.snapshot, &e.result),
+            &entry::encode(e.key, &e.snapshot, &e.result),
         )
     }
 
@@ -1037,7 +1040,7 @@ impl PersistentStore {
             }
         }
         if let Ok(bytes) = self.inner.fs.read(&self.inner.dir.join(key.file_name())) {
-            match decode_entry(&bytes) {
+            match entry::decode(&bytes) {
                 Ok(entry) if entry.key == key && entry.snapshot == *snapshot => {
                     self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return Some((Arc::new(entry.snapshot), Arc::new(entry.result)));
@@ -1478,16 +1481,14 @@ fn lock_is_stale(fs: &dyn StoreFs, path: &Path) -> bool {
         .is_some_and(|age| age > STALE_COMPACT_LOCK)
 }
 
-/// Full validation of one entry file: readable, decodable, and the
-/// content agrees with the file name it is (or was) published under.
+/// Full validation of one entry file: readable, decodable (which checks
+/// the snapshot against its declared hash), and the key agrees with the
+/// file name it is (or was) published under.
 fn entry_file_is_valid(fs: &dyn StoreFs, path: &Path, expected_name: &str) -> bool {
     fs.read(path)
         .ok()
-        .and_then(|bytes| decode_entry(&bytes).ok())
-        .is_some_and(|entry| {
-            expected_name == entry.key.file_name()
-                && entry.snapshot.content_hash() == entry.key.snapshot_hash
-        })
+        .and_then(|bytes| entry::decode(&bytes).ok())
+        .is_some_and(|entry| expected_name == entry.key.file_name())
 }
 
 /// FxHash-style digest of a byte string, mixing 8-byte little-endian
@@ -1524,205 +1525,6 @@ fn blob_file_name(name: &str, extension: &str) -> Result<String, SailingError> {
         ));
     }
     Ok(format!("{name}.{extension}"))
-}
-
-struct DecodedEntry {
-    key: StoreKey,
-    snapshot: SnapshotView,
-    result: PipelineResult,
-}
-
-/// The store's compact snapshot shape: dimensions plus one flat
-/// `[s,o,v, s,o,v, …]` array — half the legacy wire size (no redundant
-/// inverted index) and no string map keys to allocate on decode.
-fn snapshot_content(snapshot: &SnapshotView) -> Content {
-    let mut flat = Vec::with_capacity(snapshot.num_assertions() * 3);
-    for s in 0..snapshot.num_sources() {
-        let source = SourceId::from_index(s);
-        for (o, v) in snapshot.assertions_of(source) {
-            flat.push(Content::U64(u64::from(source.0)));
-            flat.push(Content::U64(u64::from(o.0)));
-            flat.push(Content::U64(u64::from(v.0)));
-        }
-    }
-    Content::Map(vec![
-        (
-            Content::Str("sources".to_string()),
-            Content::U64(snapshot.num_sources() as u64),
-        ),
-        (
-            Content::Str("objects".to_string()),
-            Content::U64(snapshot.num_objects() as u64),
-        ),
-        (Content::Str("assertions".to_string()), Content::Seq(flat)),
-    ])
-}
-
-fn snapshot_from_content(content: &Content) -> Result<SnapshotView, &'static str> {
-    let dim = |name| {
-        content
-            .field(name)
-            .and_then(|c| u64::deserialize(c).ok())
-            .map(|d| d as usize)
-            .ok_or("bad snapshot dimensions")
-    };
-    let (sources, objects) = (dim("sources")?, dim("objects")?);
-    let flat = match content.field("assertions") {
-        Some(Content::Seq(s)) => s,
-        _ => return Err("missing assertions"),
-    };
-    if flat.len() % 3 != 0 {
-        return Err("assertion array not a multiple of 3");
-    }
-    let entries = flat.len() / 3;
-    // The CSR offsets allocate per dense id: refuse implausible id spaces
-    // so a tiny hostile document cannot force a huge allocation.
-    if !serde::plausible_id_space(sources, entries) || !serde::plausible_id_space(objects, entries)
-    {
-        return Err("implausible snapshot id space");
-    }
-    let mut triples = Vec::with_capacity(entries);
-    for t in flat.chunks_exact(3) {
-        let id = |c: &Content| -> Result<u32, &'static str> {
-            u64::deserialize(c)
-                .ok()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or("bad assertion id")
-        };
-        let (s, o) = (id(&t[0])? as usize, id(&t[1])? as usize);
-        if s >= sources || o >= objects {
-            return Err("assertion outside declared dimensions");
-        }
-        triples.push((SourceId(s as u32), ObjectId(o as u32), ValueId(id(&t[2])?)));
-    }
-    Ok(SnapshotView::from_triples(sources, objects, triples))
-}
-
-/// The store's compact result shape: accuracies and per-object
-/// distributions as flat numeric arrays (`dists[i]` = `[v,p, v,p, …]`
-/// for `objects[i]`, kept in the reported descending-probability order so
-/// the encode→decode round-trip is byte-canonical); dependences reuse the
-/// small derived `PairDependence` shape.
-fn result_content(result: &PipelineResult) -> Content {
-    let objects = result.probabilities.objects();
-    let dists = Content::Seq(
-        objects
-            .iter()
-            .map(|&o| {
-                Content::Seq(
-                    result
-                        .probabilities
-                        .distribution(o)
-                        .iter()
-                        .flat_map(|&(v, p)| [Content::U64(u64::from(v.0)), Content::F64(p)])
-                        .collect(),
-                )
-            })
-            .collect(),
-    );
-    let objects = Content::Seq(
-        objects
-            .iter()
-            .map(|o| Content::U64(u64::from(o.0)))
-            .collect(),
-    );
-    Content::Map(vec![
-        (
-            Content::Str("accuracies".to_string()),
-            serde::Serialize::serialize(&result.accuracies),
-        ),
-        (
-            Content::Str("probabilities".to_string()),
-            Content::Map(vec![
-                (Content::Str("objects".to_string()), objects),
-                (Content::Str("dists".to_string()), dists),
-            ]),
-        ),
-        (
-            Content::Str("dependences".to_string()),
-            serde::Serialize::serialize(&result.dependences),
-        ),
-        (
-            Content::Str("iterations".to_string()),
-            Content::U64(result.iterations as u64),
-        ),
-        (
-            Content::Str("converged".to_string()),
-            Content::Bool(result.converged),
-        ),
-    ])
-}
-
-fn result_from_content(content: &Content) -> Result<PipelineResult, &'static str> {
-    let accuracies = content
-        .field("accuracies")
-        .and_then(|c| <Vec<f64>>::deserialize(c).ok())
-        .ok_or("bad accuracies")?;
-    let probs = content
-        .field("probabilities")
-        .ok_or("missing probabilities")?;
-    let objects = match probs.field("objects") {
-        Some(Content::Seq(s)) => s,
-        _ => return Err("missing distribution objects"),
-    };
-    let dists = match probs.field("dists") {
-        Some(Content::Seq(s)) => s,
-        _ => return Err("missing distributions"),
-    };
-    if objects.len() != dists.len() {
-        return Err("objects/dists length mismatch");
-    }
-    let max_object = objects
-        .iter()
-        .map(|c| u64::deserialize(c).map(|o| o as usize + 1))
-        .try_fold(0usize, |m, o| o.map(|o| m.max(o)))
-        .map_err(|_| "bad distribution object id")?;
-    if !serde::plausible_id_space(max_object, objects.len()) {
-        return Err("implausible distribution id space");
-    }
-    let mut per_object = Vec::with_capacity(objects.len());
-    for (o, dist) in objects.iter().zip(dists) {
-        let o = u64::deserialize(o).map_err(|_| "bad distribution object id")?;
-        let flat = match dist {
-            Content::Seq(s) => s,
-            _ => return Err("distribution not an array"),
-        };
-        if flat.len() % 2 != 0 {
-            return Err("distribution array not value/probability pairs");
-        }
-        let mut d = Vec::with_capacity(flat.len() / 2);
-        for pair in flat.chunks_exact(2) {
-            let v = u64::deserialize(&pair[0])
-                .ok()
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or("bad distribution value id")?;
-            let p = f64::deserialize(&pair[1]).map_err(|_| "bad probability")?;
-            d.push((ValueId(v), p));
-        }
-        per_object.push((ObjectId(o as u32), d));
-    }
-    let dependences = content
-        .field("dependences")
-        .and_then(|c| <Vec<PairDependence>>::deserialize(c).ok())
-        .ok_or("bad dependences")?;
-    let iterations = content
-        .field("iterations")
-        .and_then(|c| u64::deserialize(c).ok())
-        .ok_or("bad iterations")? as usize;
-    let converged = content
-        .field("converged")
-        .and_then(|c| bool::deserialize(c).ok())
-        .ok_or("bad converged flag")?;
-    Ok(PipelineResult {
-        probabilities: ValueProbabilities::from_object_distributions(per_object),
-        accuracies,
-        dependences,
-        iterations,
-        converged,
-        // The v1 wire carries only the convergence flag (format pinned by
-        // golden files); rebuild the equivalent termination record.
-        termination: sailing_core::Termination::from_converged(converged),
-    })
 }
 
 /// Frames `payload` as one store file, entry or blob: the header line
@@ -1779,67 +1581,6 @@ fn unframe<'a>(magic: &str, bytes: &'a [u8]) -> Result<&'a [u8], &'static str> {
         return Err("checksum mismatch");
     }
     Ok(payload)
-}
-
-/// Renders one entry in format v1. Deterministic for equal inputs: the
-/// payload is canonical JSON over canonical layouts, so golden files can
-/// pin the format.
-fn encode_entry(key: StoreKey, snapshot: &SnapshotView, result: &PipelineResult) -> Vec<u8> {
-    let payload = serde::json::write(&Content::Map(vec![
-        (
-            Content::Str("snapshot_hash".to_string()),
-            Content::U64(key.snapshot_hash),
-        ),
-        (
-            Content::Str("provenance".to_string()),
-            match key.provenance {
-                Some(p) => Content::U64(p),
-                None => Content::Null,
-            },
-        ),
-        (
-            Content::Str("snapshot".to_string()),
-            snapshot_content(snapshot),
-        ),
-        (Content::Str("result".to_string()), result_content(result)),
-    ]));
-    frame(MAGIC, payload.as_bytes())
-}
-
-/// Decodes and fully validates one entry. Every failure is a `&'static
-/// str` reason — the read path maps them all to a cold miss, `compact`
-/// to a removal.
-fn decode_entry(bytes: &[u8]) -> Result<DecodedEntry, &'static str> {
-    let payload = unframe(MAGIC, bytes)?;
-    let payload = std::str::from_utf8(payload).map_err(|_| "payload not UTF-8")?;
-    let content = serde::json::parse(payload).map_err(|_| "payload not JSON")?;
-    let snapshot_hash = content
-        .field("snapshot_hash")
-        .and_then(|c| u64::deserialize(c).ok())
-        .ok_or("missing snapshot_hash")?;
-    let provenance = match content.field("provenance") {
-        Some(Content::Null) | None => None,
-        Some(other) => Some(u64::deserialize(other).map_err(|_| "bad provenance")?),
-    };
-    let snapshot = content
-        .field("snapshot")
-        .ok_or("missing snapshot")
-        .and_then(snapshot_from_content)?;
-    let result = content
-        .field("result")
-        .ok_or("missing result")
-        .and_then(result_from_content)?;
-    if snapshot.content_hash() != snapshot_hash {
-        return Err("snapshot does not match its declared hash");
-    }
-    Ok(DecodedEntry {
-        key: StoreKey {
-            snapshot_hash,
-            provenance,
-        },
-        snapshot,
-        result,
-    })
 }
 
 fn entry_files(fs: &dyn StoreFs, dir: &Path) -> Vec<PathBuf> {
@@ -2513,7 +2254,7 @@ mod tests {
         let shard = dir.join("shards").join("0a");
         std::fs::create_dir_all(&shard).unwrap();
         let planted = shard.join(key.file_name());
-        std::fs::write(&planted, encode_entry(key, &snapshot, &result)).unwrap();
+        std::fs::write(&planted, entry::encode(key, &snapshot, &result)).unwrap();
 
         let store = PersistentStore::open(&dir).unwrap();
         assert!(store.get(key, &snapshot).is_none(), "a cold miss");

@@ -243,6 +243,56 @@ fn corrupted_store_files_degrade_to_cold_misses() {
     std::fs::remove_dir_all(&pristine_dir).ok();
 }
 
+/// Only the store's own writer produces entries, so the reader accepts
+/// its canonical layout alone: an entry whose payload is re-spaced — still
+/// valid JSON, re-framed under a valid checksum — is a clean miss counted
+/// in `rejected`, and the engine heals it with exactly one cold re-run.
+#[test]
+fn respaced_entry_is_a_rejected_miss_healed_by_one_cold_rerun() {
+    let snapshot = table1_snapshot();
+    let key = StoreKey::cold(snapshot.content_hash());
+    let dir = temp_dir("respaced");
+    {
+        let engine = SailingEngine::builder().persist_dir(&dir).build().unwrap();
+        engine.analyze_owned(Arc::clone(&snapshot));
+        engine.flush_persist().unwrap();
+    }
+    let path = dir.join(key.file_name());
+    let written = std::fs::read(&path).unwrap();
+    let header_end = written.iter().position(|&b| b == b'\n').unwrap();
+    let payload = std::str::from_utf8(&written[header_end + 1..])
+        .unwrap()
+        .replace(",\"", ", \"");
+    assert!(serde::json::parse(&payload).is_ok(), "still valid JSON");
+    let respaced = format!(
+        "{MAGIC} v{FORMAT_VERSION} {} {:016x}\n{payload}",
+        payload.len(),
+        checksum_bytes(payload.as_bytes())
+    );
+    std::fs::write(&path, respaced).unwrap();
+
+    let store = PersistentStore::open(&dir).unwrap();
+    assert!(
+        store.get(key, &snapshot).is_none(),
+        "re-spaced entry must miss"
+    );
+    let stats = store.stats();
+    assert_eq!((stats.disk_misses, stats.rejected), (1, 1), "{stats:?}");
+    drop(store);
+
+    let (strategy, runs) = CountingAccuCopy::new();
+    let engine = SailingEngine::builder()
+        .strategy(strategy)
+        .persist_dir(&dir)
+        .build()
+        .unwrap();
+    engine.analyze_owned(Arc::clone(&snapshot));
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "one cold re-run");
+    engine.flush_persist().unwrap();
+    assert_eq!(std::fs::read(&path).unwrap(), written, "healed entry");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `compact` sweeps damaged and stale-version entries, keeps valid ones.
 #[test]
 fn compact_removes_damage_and_reports_counts() {
