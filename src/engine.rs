@@ -90,9 +90,11 @@
 //!   a just-written valid entry.
 //! * On multi-core machines [`TimelineSession::prefetch_cold`], called on
 //!   a fresh session, runs the timeline's cold epoch analyses **in
-//!   parallel** first — store-resident epochs are skipped, the rest fan
-//!   out under [`std::thread::scope`] in LPT-balanced chunks — and the
-//!   walk then consumes the precomputed results, preserving the
+//!   parallel** first — the epochs fan out under [`std::thread::scope`]
+//!   in LPT-balanced chunks, and each worker resolves its epochs through
+//!   the same single-flight miss path as a cold `analyze_owned`, so
+//!   cached, store-resident and in-flight epochs cost no discovery run —
+//!   and the walk then consumes the precomputed results, preserving the
 //!   converged-prior gating semantics exactly.
 //!
 //! ```
@@ -172,8 +174,18 @@ const SHARD_ADOPT_POLL: Duration = Duration::from_millis(25);
 const SHARD_ADOPT_DEADLINE: Duration = Duration::from_secs(2);
 
 /// Store name (claim and blob alike) coordinating one pair-range of one
-/// iteration of one snapshot's sharded analysis.
-fn shard_partial_name(hash: u64, iteration: usize, range: PairRange) -> String {
+/// iteration of one snapshot's sharded analysis, under the run's cold
+/// [`quotient_cache_key`]. Blob names carry no self-certifying snapshot
+/// hash (unlike store entries), so the key's provenance — the
+/// equivalence backend's lane — is folded into the named hash: partials
+/// computed under different backends can never be adopted across runs.
+/// The exact backend's key has no provenance, so its names are the bare
+/// content hash.
+fn shard_partial_name(key: StoreKey, iteration: usize, range: PairRange) -> String {
+    let hash = match key.provenance {
+        None => key.snapshot_hash,
+        Some(provenance) => fx_mix(key.snapshot_hash, provenance),
+    };
     format!(
         "shard-{hash:016x}-i{iteration}-{}-{}",
         range.start, range.end
@@ -724,15 +736,14 @@ impl SailingEngine {
         // The coordinator quotients once, before any ranges are cut: every
         // worker (local thread or cooperating process) sees the quotiented
         // snapshot, and the partial blob/claim names carry the equivalence
-        // provenance through the keyed hash — partials computed under
+        // provenance through the run's cold key — partials computed under
         // different backends can never be adopted across runs.
-        let (snapshot, quotient_digest) =
-            self.quotient_input(SnapshotInput::Owned(Arc::new(snapshot.clone())));
+        let (snapshot, quotient_digest) = self.quotient_input(SnapshotInput::Borrowed(snapshot));
         let snapshot = snapshot.into_arc();
         let ranges = shard_ranges(pipeline.pair_count(&snapshot), workers.max(1));
-        let hash = quotient_keyed_hash(snapshot.content_hash(), quotient_digest);
+        let key = quotient_cache_key(snapshot.content_hash(), quotient_digest, None);
         let state = pipeline.drive(&snapshot, None, |state| {
-            let partials = self.sharded_iteration(&pipeline, &snapshot, &ranges, state, hash)?;
+            let partials = self.sharded_iteration(&pipeline, &snapshot, &ranges, state, key)?;
             pipeline.merge_partials(&snapshot, state, &partials)
         })?;
         if let Some(store) = self.persist.as_deref() {
@@ -742,7 +753,7 @@ impl SailingEngine {
             // and those are validated-or-out-waited by the next run.
             for iteration in 1..=state.iterations {
                 for &range in &ranges {
-                    let name = shard_partial_name(hash, iteration, range);
+                    let name = shard_partial_name(key, iteration, range);
                     store.remove_blob(&name);
                     store.remove_claim(&name);
                 }
@@ -762,14 +773,14 @@ impl SailingEngine {
         snapshot: &SnapshotView,
         ranges: &[PairRange],
         state: &PipelineResult,
-        hash: u64,
+        key: StoreKey,
     ) -> Result<Vec<PartialDependence>, SailingError> {
         let iteration = state.iterations + 1;
         let store = self.persist.as_deref();
         let (mine, theirs): (Vec<PairRange>, Vec<PairRange>) = match store {
             Some(store) => ranges
                 .iter()
-                .partition(|&&r| store.try_claim(&shard_partial_name(hash, iteration, r))),
+                .partition(|&&r| store.try_claim(&shard_partial_name(key, iteration, r))),
             None => (ranges.to_vec(), Vec::new()),
         };
 
@@ -798,7 +809,7 @@ impl SailingEngine {
         // Publishing is cooperative best-effort: a failed publish only
         // denies peers an adoption (they recompute), never this merge.
         for partial in &partials {
-            let name = shard_partial_name(hash, iteration, partial.range);
+            let name = shard_partial_name(key, iteration, partial.range);
             let _ = store.put_blob(&name, partial.to_canonical_json().as_bytes());
         }
         let digest = iteration_digest(state);
@@ -808,7 +819,7 @@ impl SailingEngine {
         while !waiting.is_empty() {
             waiting.retain(|&range| {
                 let adopted = store
-                    .get_blob(&shard_partial_name(hash, iteration, range))
+                    .get_blob(&shard_partial_name(key, iteration, range))
                     .and_then(|bytes| String::from_utf8(bytes).ok())
                     .and_then(|text| PartialDependence::from_json_str(&text).ok())
                     // A blob from a crashed earlier run (or a peer on a
@@ -833,7 +844,7 @@ impl SailingEngine {
         }
         for &range in &waiting {
             let partial = pipeline.run_shard(snapshot, range, state);
-            let name = shard_partial_name(hash, iteration, partial.range);
+            let name = shard_partial_name(key, iteration, partial.range);
             let _ = store.put_blob(&name, partial.to_canonical_json().as_bytes());
             self.shard.runs.fetch_add(1, Ordering::Relaxed);
             partials.push(partial);
@@ -883,10 +894,26 @@ impl SailingEngine {
         IngestSession::start(self.clone(), log)
     }
 
-    /// The shared analysis path: consult the cache, run the strategy (warm
-    /// when a prior is supplied) on a miss, and assemble the handle.
-    /// Returns the analysis plus whether it was served from the cache, so
-    /// the timeline can account discovery work honestly.
+    /// The shared analysis path: [`SailingEngine::resolve`] the snapshot,
+    /// then assemble the handle. Returns the analysis plus whether it was
+    /// served without a discovery run, so the timeline can account
+    /// discovery work honestly.
+    fn analyze_inner(
+        &self,
+        snapshot: SnapshotInput<'_>,
+        history: Option<Arc<History>>,
+        prior: Option<&PipelineResult>,
+    ) -> (Analysis, bool) {
+        let (snapshot, result, from_cache) = self.resolve(snapshot, prior);
+        let analysis = self.assemble_analysis(snapshot, history, result);
+        (analysis, from_cache)
+    }
+
+    /// The engine's one miss path: quotient the snapshot, consult the
+    /// cache, the in-flight table and the store, and run the strategy
+    /// (warm when a prior is supplied) only when all of them miss.
+    /// Returns the (quotiented) snapshot and result the tiers hold, plus
+    /// whether they were served without a discovery run by this call.
     ///
     /// The cache key carries the computation's provenance alongside the
     /// content hash: `None` for a cold run, or a digest of the seeding
@@ -898,12 +925,11 @@ impl SailingEngine {
     /// result just because a timeline walked the same epoch first, and two
     /// timelines over different histories must not swap epoch results just
     /// because one snapshot coincides.
-    fn analyze_inner(
+    fn resolve(
         &self,
         snapshot: SnapshotInput<'_>,
-        history: Option<Arc<History>>,
         prior: Option<&PipelineResult>,
-    ) -> (Analysis, bool) {
+    ) -> (Arc<SnapshotView>, Arc<PipelineResult>, bool) {
         // Quotient first: everything downstream — cache, persist,
         // discovery, the returned handle — sees the quotiented snapshot,
         // so a cached result is always consistent with the snapshot it is
@@ -912,21 +938,18 @@ impl SailingEngine {
         // With both tiers disabled, skip key construction entirely —
         // hashing the snapshot and digesting the prior are linear scans
         // that would be pure waste when nothing can hit.
-        let (snapshot, result, from_cache) = if !self.cache.enabled() && self.persist.is_none() {
+        if !self.cache.enabled() && self.persist.is_none() {
             self.cache.note_miss();
             let snapshot = snapshot.into_arc();
             let fresh = Arc::new(self.strategy.run_warm(&snapshot, prior));
-            (snapshot, fresh, false)
-        } else {
-            let key = quotient_cache_key(
-                snapshot.view().content_hash(),
-                quotient_digest,
-                prior.map(PipelineResult::content_digest),
-            );
-            self.lookup_or_compute(key, snapshot, prior)
-        };
-        let analysis = self.assemble_analysis(snapshot, history, result);
-        (analysis, from_cache)
+            return (snapshot, fresh, false);
+        }
+        let key = quotient_cache_key(
+            snapshot.view().content_hash(),
+            quotient_digest,
+            prior.map(PipelineResult::content_digest),
+        );
+        self.lookup_or_compute(key, snapshot, prior)
     }
 
     /// Applies the engine's [`ValueEquivalence`] to an incoming snapshot:
@@ -948,18 +971,6 @@ impl SailingEngine {
         } else {
             let quotiented = snapshot.view().quotiented(&quotient);
             (SnapshotInput::Owned(Arc::new(quotiented)), digest)
-        }
-    }
-
-    /// Re-derives the quotient digest for a snapshot that may already be
-    /// quotiented. Sound because the partition depends only on the value
-    /// arena, which [`SnapshotView::quotiented`] carries through
-    /// unchanged — re-quotienting yields the identical digest.
-    fn quotient_digest(&self, snapshot: &SnapshotView) -> Option<u64> {
-        if self.equivalence.is_exact() {
-            None
-        } else {
-            Some(snapshot.quotient(self.equivalence.as_ref()).digest())
         }
     }
 
@@ -1009,29 +1020,6 @@ impl SailingEngine {
                 (snap, result, false)
             }
         }
-    }
-
-    /// Two-tier lookup, no discovery: the in-memory cache first, then the
-    /// persistent store (promoting a disk hit into memory). Counts exactly
-    /// one in-memory request; the disk counters move only when the memory
-    /// tier missed with a store attached.
-    fn probe(
-        &self,
-        key: StoreKey,
-        snapshot: &SnapshotView,
-    ) -> Option<(Arc<SnapshotView>, Arc<PipelineResult>)> {
-        if self.cache.enabled() {
-            if let Some(hit) = self.cache.get(key, snapshot) {
-                return Some(hit);
-            }
-        } else {
-            self.cache.note_miss();
-        }
-        let store = self.persist.as_deref()?;
-        let disk = store.get(key, snapshot);
-        self.cache.note_disk_probe(disk.is_some());
-        let (snap, result) = disk?;
-        Some(self.cache.insert_or_get(key, snap, result))
     }
 
     /// Retains a freshly computed result in both tiers. Returns the
@@ -1362,6 +1350,9 @@ pub struct CacheStats {
     /// thundering herd of `K` concurrent misses on one snapshot runs
     /// discovery once and reports `K - 1` waits here; with a store
     /// attached, `disk_hits + disk_misses + inflight_waits == misses`.
+    /// [`TimelineSession::prefetch_cold`]'s workers resolve through the
+    /// same admission, so a worker that joins a serve request's flight
+    /// (or a repeat epoch's) counts here too.
     pub inflight_waits: u64,
     /// Pipeline results currently retained in memory.
     pub entries: usize,
@@ -1425,18 +1416,6 @@ fn quotient_cache_key(hash: u64, quotient_digest: Option<u64>, prior: Option<u64
     StoreKey {
         snapshot_hash: hash,
         provenance,
-    }
-}
-
-/// Folds a [`ValueQuotient::digest`] into a snapshot content hash for the
-/// sharded fan-out's *partial-blob* namespace (blob names carry no
-/// self-certifying snapshot hash, unlike store entries — see
-/// [`quotient_cache_key`]), so partials computed under different backends
-/// can never be adopted across runs.
-fn quotient_keyed_hash(hash: u64, quotient_digest: Option<u64>) -> u64 {
-    match quotient_digest {
-        None => hash,
-        Some(digest) => fx_mix(hash, digest),
     }
 }
 
@@ -1551,13 +1530,12 @@ impl AnalysisCache {
     /// the retention half of what keeps hits **pointer-identical under
     /// concurrency**: [`AnalysisCache::admit`]'s single-flight table
     /// ensures at most one request *computes* per key, and on the rare
-    /// paths where two computations do land (a hash-collision
-    /// [`Admission::Collision`], or a timeline prefetch racing a serve
-    /// request), the first writer wins and every later caller adopts the
-    /// winner's `PipelineResult` allocation. A disabled cache returns the
-    /// inputs unchanged; a same-key entry for *different* content (a
-    /// 64-bit hash collision) is replaced — the two snapshots thrash one
-    /// slot, which is slow but never wrong.
+    /// path where two computations do land (a hash-collision
+    /// [`Admission::Collision`]), the first writer wins and every later
+    /// caller adopts the winner's `PipelineResult` allocation. A disabled
+    /// cache returns the inputs unchanged; a same-key entry for
+    /// *different* content (a 64-bit hash collision) is replaced — the two
+    /// snapshots thrash one slot, which is slow but never wrong.
     fn insert_or_get(
         &self,
         key: StoreKey,
@@ -1762,7 +1740,8 @@ pub struct TimelineSession {
 }
 
 /// One prefetched epoch: the cold analysis and whether this session's
-/// batch pass computed it (vs found it store-resident).
+/// batch pass credits its spend to this epoch (vs found it resident, in
+/// flight, or already credited to an earlier epoch of equal content).
 struct BatchSlot {
     snapshot: Arc<SnapshotView>,
     result: Arc<PipelineResult>,
@@ -1796,160 +1775,96 @@ impl TimelineSession {
     /// **Batches the remaining epochs' cold analyses across `threads`
     /// worker threads**, so the subsequent walk consumes precomputed
     /// results instead of running discovery epoch by epoch. Returns the
-    /// number of epochs actually computed (the rest were already resident
-    /// in the engine's cache or its persistent store).
+    /// number of distinct analyses this call computed (the rest were
+    /// already resident in the engine's cache or its persistent store, or
+    /// joined a computation already in flight).
     ///
     /// The sequential warm-start chain amortises iterations but is
     /// inherently serial — epoch *N+1*'s seed is epoch *N*'s posterior. A
     /// **cold** analysis of every epoch needs no seed, so the cold runs
     /// are embarrassingly parallel: this pass materialises each remaining
-    /// epoch's snapshot, skips the ones the store already holds (under
-    /// their cold key), and fans the rest out under
-    /// [`std::thread::scope`] in LPT-balanced chunks (weighted by
-    /// assertion count, the same discipline as the pairwise-detection
-    /// fan-out). Every computed result is retained through the normal
-    /// two-tier path, so other processes benefit via the persistent store.
+    /// epoch's snapshot and fans them out under [`std::thread::scope`] in
+    /// LPT-balanced chunks (weighted by assertion count, the same
+    /// discipline as the pairwise-detection fan-out). Each worker resolves
+    /// its epochs through the engine's own miss path with
+    /// **single-flight** admission, exactly as a cold
+    /// [`SailingEngine::analyze_owned`] would: store-resident epochs are
+    /// read, an epoch another request is already computing (a serve
+    /// request, or a repeat of the same content in this batch) is joined
+    /// rather than recomputed, and every computed result is retained in
+    /// both tiers, so other processes benefit via the persistent store.
     ///
     /// Cold runs trade the warm chain's iteration savings for
     /// parallelism; posteriors agree with the sequential path within the
     /// convergence tolerance (pinned by the timeline parity tests).
-    /// Accounting keeps the sequential discipline: epochs computed by
-    /// this pass report [`EpochAnalysis::from_cache`]` == false` (fresh
-    /// work spent by this session, counted in
-    /// [`TimelineSession::total_iterations`]), while store-resident
-    /// epochs report `from_cache == true` and cost nothing. One deliberate
-    /// divergence: a history that *revisits* earlier content (an update
-    /// reverting an object) is computed once per distinct snapshot, and
-    /// the repeat epochs report `from_cache == true` with nothing
-    /// counted — matching a cache-backed sequential walk, whereas a
-    /// `cache_capacity(0)` sequential walk would recompute the repeat and
-    /// count its spend. The converged-prior gating is preserved exactly —
-    /// the prior chain advances through the consumed epochs, and any
-    /// epoch missing from the batch falls back to the warm-started
-    /// sequential path unchanged. That includes every epoch of a worker
-    /// that panicked: its chunk is dropped rather than re-raised, and is
-    /// not counted in the return value.
+    /// Accounting keeps the sequential discipline: of the epochs sharing
+    /// an allocation this pass computed, the first in walk order reports
+    /// [`EpochAnalysis::from_cache`]` == false` (fresh work spent by this
+    /// session, counted in [`TimelineSession::total_iterations`]), whichever
+    /// worker led; every other epoch reports `from_cache == true` and costs
+    /// nothing. The converged-prior gating is preserved exactly — the
+    /// prior chain advances through the consumed epochs, and any epoch
+    /// missing from the batch falls back to the warm-started sequential
+    /// path unchanged. That includes every epoch of a worker that
+    /// panicked: its chunk is dropped rather than re-raised, and is not
+    /// counted in the return value.
     pub fn prefetch_cold(&mut self, threads: usize) -> usize {
-        let threads = threads.max(1);
-        let mut pending: Vec<(Timestamp, Arc<SnapshotView>)> = Vec::new();
-        // A history can revisit earlier content (an update that reverts an
-        // object): such epochs share a content hash, and computing the
-        // analysis once per *distinct* snapshot — like the sequential
-        // walk's cache would — keeps the batch from duplicating whole
-        // discovery runs. Repeats ride along here and adopt the computed
-        // result below.
-        let mut repeats: Vec<(Timestamp, u64)> = Vec::new();
-        let mut pending_hashes: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        for &at in &self.change_points[self.next..] {
-            if self.batched.contains_key(&at) {
-                continue;
-            }
-            // Quotient before hashing, so batched epochs probe, retain,
-            // and compute against exactly the snapshots (and keys) the
-            // sequential walk would use. History snapshots carry no value
-            // arena, so non-exact backends quotient to the identity here —
-            // but still under their own key space.
-            let (snapshot, quotient_digest) = {
-                let (input, digest) = self
-                    .engine
-                    .quotient_input(SnapshotInput::Owned(Arc::new(self.history.snapshot_at(at))));
-                (input.into_arc(), digest)
-            };
-            let hash = snapshot.content_hash();
-            if pending_hashes.contains(&hash) {
-                repeats.push((at, hash));
-                continue;
-            }
-            let key = quotient_cache_key(hash, quotient_digest, None);
-            match self.engine.probe(key, &snapshot) {
-                Some((snapshot, result)) => {
-                    self.batched.insert(
-                        at,
-                        BatchSlot {
-                            snapshot,
-                            result,
-                            fresh: false,
-                        },
-                    );
-                }
-                None => {
-                    pending_hashes.insert(hash);
-                    pending.push((at, snapshot));
-                }
-            }
-        }
+        let pending: Vec<(Timestamp, Arc<SnapshotView>)> = self.change_points[self.next..]
+            .iter()
+            .filter(|at| !self.batched.contains_key(at))
+            .map(|&at| (at, Arc::new(self.history.snapshot_at(at))))
+            .collect();
         // LPT over assertion counts: discovery cost scales with snapshot
         // size, and equal-length contiguous chunks would let one fat chunk
         // serialize the scope. Iteration cost is per-assertion per-round;
         // +1 keeps empty snapshots from all landing in one bucket.
-        let chunks = balanced_chunks(&pending, threads, |(_, snapshot)| {
+        let chunks = balanced_chunks(&pending, threads.max(1), |(_, snapshot)| {
             snapshot.num_assertions() + 1
         });
-        let strategy = Arc::clone(&self.engine.strategy);
-        let results = std::thread::scope(|scope| {
+        let engine = &self.engine;
+        let mut landed: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|chunk| {
-                    let strategy = Arc::clone(&strategy);
                     scope.spawn(move || {
                         chunk
                             .into_iter()
                             .map(|(at, snapshot)| {
-                                let result = strategy.run_warm(&snapshot, None);
-                                (at, snapshot, result)
+                                (at, engine.resolve(SnapshotInput::Owned(snapshot), None))
                             })
                             .collect::<Vec<_>>()
                     })
                 })
                 .collect();
             join_workers("cold-epoch", handles)
-        });
-        // A panicked chunk's epochs (and their content repeats) stay
-        // un-batched and take the sequential warm path when reached.
-        let mut computed = 0;
-        let mut by_hash: BTreeMap<u64, (Arc<SnapshotView>, Arc<PipelineResult>)> = BTreeMap::new();
-        for (at, snapshot, result) in results.into_iter().flatten().flatten() {
-            computed += 1;
-            // Re-deriving the quotient digest from the already-quotiented
-            // snapshot is stable (the partition depends only on the value
-            // arena, which rides along), so this key equals the probe key
-            // above.
-            let key = quotient_cache_key(
-                snapshot.content_hash(),
-                self.engine.quotient_digest(&snapshot),
-                None,
-            );
-            let (snapshot, result) = self.engine.retain_result(key, snapshot, Arc::new(result));
-            by_hash.insert(
-                key.snapshot_hash,
-                (Arc::clone(&snapshot), Arc::clone(&result)),
-            );
+        })
+        .into_iter()
+        .flatten()
+        .flatten()
+        .collect();
+        // A panicked chunk's epochs stay un-batched and take the
+        // sequential warm path when reached. Repeated contents share one
+        // allocation, computed by whichever worker led its flight; the
+        // spend is credited to the first of them in walk order.
+        landed.sort_by_key(|&(at, _)| at);
+        let mut computed: std::collections::HashSet<*const PipelineResult> = landed
+            .iter()
+            .filter(|(_, (_, _, from_cache))| !from_cache)
+            .map(|(_, (_, result, _))| Arc::as_ptr(result))
+            .collect();
+        let count = computed.len();
+        for (at, (snapshot, result, _)) in landed {
+            let fresh = computed.remove(&Arc::as_ptr(&result));
             self.batched.insert(
                 at,
                 BatchSlot {
                     snapshot,
                     result,
-                    fresh: true,
+                    fresh,
                 },
             );
         }
-        // Content-repeat epochs share the computed allocation, flagged
-        // like the cache hits they would have been on the sequential walk
-        // (the one fresh computation is already accounted above).
-        for (at, hash) in repeats {
-            let Some((snapshot, result)) = by_hash.get(&hash) else {
-                continue;
-            };
-            self.batched.insert(
-                at,
-                BatchSlot {
-                    snapshot: Arc::clone(snapshot),
-                    result: Arc::clone(result),
-                    fresh: false,
-                },
-            );
-        }
-        computed
+        count
     }
 
     /// Analyzes the next epoch, or `None` once the timeline is exhausted.
@@ -2481,6 +2396,7 @@ mod tests {
     use sailing_core::NaiveVote;
     use sailing_datagen::world::{SnapshotWorld, WorldConfig};
     use sailing_fusion::{fuse, FusionStrategy};
+    use sailing_linkage::NormalizedString;
     use sailing_model::fixtures;
 
     #[test]
@@ -3143,6 +3059,18 @@ mod tests {
             session.total_iterations(),
             epochs[0].iterations() + epochs[1].iterations()
         );
+
+        // With no cache and no store there is nowhere to keep a result:
+        // the repeat is computed again, exactly as the capacity-0
+        // sequential walk recomputes it.
+        let uncached = || SailingEngine::builder().cache_capacity(0).build().unwrap();
+        let mut sequential = uncached().timeline(session.history().clone());
+        assert_eq!(sequential.by_ref().count(), 3);
+        let mut batched = uncached().timeline(session.history().clone());
+        assert_eq!(batched.prefetch_cold(2), 3, "every epoch is computed");
+        let epochs: Vec<_> = batched.by_ref().collect();
+        assert!(epochs.iter().all(|e| !e.from_cache()));
+        assert_eq!(batched.total_iterations(), sequential.total_iterations());
     }
 
     #[test]
@@ -3423,7 +3351,11 @@ mod tests {
         let ranges = shard_ranges(pipeline.pair_count(&snap), 2);
         assert_eq!(ranges.len(), 2, "table1 has enough candidate pairs");
         let state = pipeline.bootstrap_sharded(&snap, None);
-        let name = shard_partial_name(snap.content_hash(), 1, ranges[0]);
+        let name = shard_partial_name(
+            quotient_cache_key(snap.content_hash(), None, None),
+            1,
+            ranges[0],
+        );
         let peer = engine.persist_store().unwrap();
         assert!(peer.try_claim(&name));
         let partial = pipeline.run_shard(&snap, ranges[0], &state);
@@ -3448,6 +3380,22 @@ mod tests {
         // is takeable again and the blob is gone.
         assert!(peer.get_blob(&name).is_none());
         assert!(peer.try_claim(&name));
+
+        // A partial published under the exact name is invisible to a
+        // non-exact backend on the same store, even when its quotient is
+        // the identity: the iteration state (and so the partial's digest)
+        // matches, and only the name keeps the two runs apart.
+        assert!(snap.quotient(&NormalizedString).is_identity());
+        peer.put_blob(&name, partial.to_canonical_json().as_bytes())
+            .unwrap();
+        let normalized = SailingEngine::builder()
+            .persist_dir(&dir)
+            .value_equivalence(NormalizedString)
+            .build()
+            .unwrap();
+        let sharded = normalized.analyze_sharded(&snap, 2).unwrap();
+        assert_eq!(normalized.cache_stats().shard_partials_adopted, 0);
+        assert_eq!(sharded.decisions(), solo.decisions());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -13,13 +13,14 @@
 //! each lands on the loop's fixpoint rather than an epsilon-ball around it;
 //! the iteration counts then measure exactly what warm starting saves.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use sailing::core::{AccuCopy, DetectionParams, PipelineResult, TruthDiscovery};
 use sailing::datagen::temporal::{table3_style, TemporalWorld};
 use sailing::engine::SailingEngine;
-use sailing::model::{fixtures, History, SnapshotView};
+use sailing::model::{fixtures, History, ObjectId, SnapshotView, SourceId, ValueId};
 
 const POSTERIOR_TOLERANCE: f64 = 1e-9;
 
@@ -418,6 +419,83 @@ fn batched_timeline_rerun_accounting_matches_sequential_rerun() {
             "cache-served epochs must be pointer-identical"
         );
     }
+}
+
+/// ACCU-COPY that counts its discovery runs. The first run holds until a
+/// second one starts or 300 ms pass, so a request that should join it
+/// rather than recompute has time to arrive.
+struct HoldsFirstRun {
+    inner: AccuCopy,
+    runs: Arc<AtomicUsize>,
+}
+
+impl TruthDiscovery for HoldsFirstRun {
+    fn name(&self) -> &'static str {
+        "holds-first-run"
+    }
+
+    fn discover(&self, snapshot: &SnapshotView) -> PipelineResult {
+        self.run_warm(snapshot, None)
+    }
+
+    fn run_warm(&self, snapshot: &SnapshotView, prior: Option<&PipelineResult>) -> PipelineResult {
+        if self.runs.fetch_add(1, Ordering::SeqCst) == 0 {
+            let deadline = Instant::now() + Duration::from_millis(300);
+            while self.runs.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        self.inner.run_warm(snapshot, prior)
+    }
+
+    fn detection_params(&self) -> Option<&DetectionParams> {
+        Some(self.inner.params())
+    }
+}
+
+/// A prefetch worker resolves its epoch through the engine's single-flight
+/// miss path: when a serve request is already computing the same cold
+/// analysis, the worker joins that flight instead of running discovery a
+/// second time, and the walk reports the epoch as served.
+#[test]
+fn prefetch_joins_an_in_flight_analysis_of_the_same_epoch() {
+    let mut history = History::new(3, 2);
+    for s in 0..3u32 {
+        for o in 0..2u32 {
+            let value = ValueId(o * 10 + u32::from(s == 2));
+            history.record(SourceId(s), ObjectId(o), 1, value);
+        }
+    }
+    let history = Arc::new(history);
+    let points: Vec<_> = history.change_points().collect();
+    assert_eq!(points.len(), 1, "a one-epoch history");
+
+    let runs = Arc::new(AtomicUsize::new(0));
+    let engine = SailingEngine::builder()
+        .strategy(HoldsFirstRun {
+            inner: AccuCopy::new(DetectionParams::default()).unwrap(),
+            runs: Arc::clone(&runs),
+        })
+        .build()
+        .unwrap();
+    let server = engine.clone();
+    let snapshot = Arc::new(history.snapshot_at(points[0]));
+    let served = std::thread::spawn(move || server.analyze_owned(snapshot));
+    // The served analysis is in its discovery run, so its flight is open.
+    while runs.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let mut session = engine.timeline(Arc::clone(&history));
+    assert_eq!(session.prefetch_cold(2), 0, "the epoch joined the flight");
+    let served = served.join().unwrap();
+    let epochs: Vec<_> = session.by_ref().collect();
+    assert_eq!(epochs.len(), 1);
+    assert!(epochs[0].from_cache());
+    assert!(std::ptr::eq(epochs[0].analysis().result(), served.result()));
+    assert_eq!(session.total_iterations(), 0);
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "one discovery run");
+    assert_eq!(engine.cache_stats().inflight_waits, 1);
 }
 
 /// `History::snapshot_at` and the timeline agree epoch by epoch on what
