@@ -6,7 +6,7 @@ use sailing_bench::{banner, header, row};
 use sailing_core::{AccuCopy, DetectionParams};
 use sailing_datagen::bookstores::{BookCorpus, BookCorpusConfig};
 use sailing_query::topk::top_k_values_for_object;
-use sailing_query::{order_sources, OnlineSession, OrderingPolicy};
+use sailing_query::{order_sources, OnlineSession, OrderingPolicy, VisitOrder};
 
 fn main() {
     banner("E6", "Online answering: quality vs sources probed");
@@ -48,12 +48,12 @@ fn main() {
         .map(sailing_model::ObjectId::from_index)
         .max_by_key(|&o| snapshot.support(o))
         .unwrap();
-    let order = order_sources(
+    let order = VisitOrder::new(order_sources(
         &snapshot,
         &pilot.accuracies,
         &deps,
         &OrderingPolicy::GreedyIndependent,
-    );
+    ));
     // Weight = accuracy × independence, the dependence-aware support.
     let reports = pilot.source_reports(&snapshot);
     let weights: Vec<f64> = reports
@@ -64,7 +64,7 @@ fn main() {
     println!(
         "\nTop-1 author list for the best-covered book: stabilised after {} of {} probes (early stop: {})",
         result.probed,
-        order.len(),
+        order.sources().len(),
         result.early_stopped
     );
 

@@ -9,7 +9,11 @@
 //! clock:
 //!
 //! * on every run, smoke included, `recommend`'s p50 must stay within 5x
-//!   of `top_k`'s;
+//!   of the p50 of the full-order top-k scan (the visit order and weights
+//!   rebuilt, then every source of the order walked), the O(sources)
+//!   yardstick the gate was calibrated on. The served `top_k` walks only
+//!   the few sources covering its object, so it is printed but is no
+//!   yardstick;
 //! * the parallel-scaling gate (more threads must not lose throughput)
 //!   only fires on non-smoke runs with `threads * 2 <= host_cpus`, so a
 //!   small build box prints the numbers without asserting shape.
@@ -24,10 +28,17 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use sailing::engine::SailingEngine;
+use sailing::engine::{Analysis, SailingEngine};
 use sailing_bench::{banner, header, row};
 use sailing_datagen::world::{SnapshotWorld, WorldConfig};
-use sailing_serve::{Endpoint, MetricsSnapshot, ServeHandle, Workload};
+use sailing_model::{ObjectId, SnapshotView, SourceId, ValueId};
+use sailing_query::{order_sources, OrderingPolicy, TopKResult};
+use sailing_serve::{
+    Endpoint, LatencyHistogram, MetricsSnapshot, ServeHandle, ServeQuery, Workload,
+};
+
+#[path = "../../query/src/topk/reference.rs"]
+mod reference;
 
 /// One closed loop: `threads` readers each drive `per_thread` queries.
 /// Returns the wall time in milliseconds and the final metrics.
@@ -66,6 +77,44 @@ fn closed_loop(
     (elapsed_ms, handle.metrics())
 }
 
+/// The p50, in microseconds, of `queries` top-k reads of one workload
+/// stream answered the way `top_k` answered them before it memoised its
+/// visit ranks: the `ByAccuracy` order and the weights rebuilt per query,
+/// then the full-order scan. Timed on one thread into the serve tier's
+/// histogram, so it reads on the same scale as the endpoint p50s.
+fn full_order_top_k_p50_us(analysis: &Analysis, queries: usize, num_objects: usize) -> f64 {
+    let histogram = LatencyHistogram::new();
+    let mut workload = Workload::new(1, num_objects);
+    let (mut timed, mut fingerprint) = (0, 0);
+    while timed < queries {
+        let ServeQuery::TopK(object, k) = workload.next_query() else {
+            continue;
+        };
+        let start = Instant::now();
+        let order = order_sources(
+            analysis.snapshot(),
+            analysis.accuracies(),
+            analysis.dependence_matrix(),
+            &OrderingPolicy::ByAccuracy,
+        );
+        let weights: Vec<f64> = analysis
+            .source_reports()
+            .iter()
+            .map(|r| r.accuracy * r.mean_independence)
+            .collect();
+        let result =
+            reference::top_k_values_for_object(analysis.snapshot(), object, &order, &weights, k);
+        histogram.record(start.elapsed().as_nanos() as u64);
+        fingerprint += result.top.len() + result.probed;
+        timed += 1;
+    }
+    assert!(
+        fingerprint > 0,
+        "the full-order scan did no observable work"
+    );
+    histogram.quantile(0.5).map_or(0.0, |nanos| nanos / 1000.0)
+}
+
 fn main() {
     let smoke = std::env::var("SAILING_BENCH_SMOKE").is_ok();
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -92,6 +141,7 @@ fn main() {
         "qps",
         "topk p50us",
         "topk p99us",
+        "scan p50us",
         "rec p50us",
     ]);
     let mut throughput: Vec<(usize, f64)> = Vec::new();
@@ -105,14 +155,15 @@ fn main() {
         let qps = queries as f64 / (elapsed_ms / 1e3);
         let topk = metrics.endpoint(Endpoint::TopK);
         // Recommendation costs O(limit · (sources + dependences)), the
-        // same order as a top-k lookup; a per-candidate rescan of the
-        // dependence list puts it 20-30x above.
+        // same order as the full-order top-k scan; a per-candidate rescan
+        // of the dependence list puts it 20-30x above.
+        let scan_p50_us = full_order_top_k_p50_us(&handle.current(), per_thread, num_objects);
         let recommend = metrics.endpoint(Endpoint::Recommend);
         assert!(
-            recommend.p50_us <= 5.0 * topk.p50_us,
-            "recommend p50 {:.1} us exceeds 5x top_k p50 {:.1} us at {threads} threads",
+            recommend.p50_us <= 5.0 * scan_p50_us,
+            "recommend p50 {:.1} us exceeds 5x the full-order top-k scan's p50 {scan_p50_us:.1} us \
+             at {threads} threads",
             recommend.p50_us,
-            topk.p50_us
         );
         println!(
             "{}",
@@ -123,6 +174,7 @@ fn main() {
                 format!("{qps:.0}"),
                 format!("{:.1}", topk.p50_us),
                 format!("{:.1}", topk.p99_us),
+                format!("{scan_p50_us:.1}"),
                 format!("{:.1}", recommend.p50_us),
             ])
         );
@@ -147,5 +199,5 @@ fn main() {
 
     println!("\nExpectation (shape): reads scale with cores (they never take a");
     println!("lock once the epoch settles), and recommend stays within a small");
-    println!("factor of a top-k lookup.");
+    println!("factor of a full-order top-k scan.");
 }

@@ -21,5 +21,5 @@ pub mod ordering;
 pub mod topk;
 
 pub use online::{OnlineSession, StepSnapshot};
-pub use ordering::{order_sources, OrderingPolicy};
+pub use ordering::{order_sources, OrderingPolicy, VisitOrder};
 pub use topk::TopKResult;

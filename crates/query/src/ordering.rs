@@ -38,6 +38,58 @@ impl OrderingPolicy {
     }
 }
 
+/// A visit order together with each source's position in it, built once
+/// from [`order_sources`]' output. A query over one object sorts the few
+/// sources covering it by [`VisitOrder::rank`] instead of walking every
+/// source in the order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VisitOrder {
+    sources: Vec<SourceId>,
+    /// `rank[s]` is the position of source `s`; `usize::MAX` marks a
+    /// source the order leaves out.
+    rank: Vec<usize>,
+}
+
+impl VisitOrder {
+    /// Indexes `sources` (usually a permutation of every source) by
+    /// position.
+    ///
+    /// # Panics
+    /// Panics if a source appears twice.
+    pub fn new(sources: Vec<SourceId>) -> Self {
+        let len = sources.iter().map(|s| s.index() + 1).max().unwrap_or(0);
+        let mut rank = vec![usize::MAX; len];
+        for (position, s) in sources.iter().enumerate() {
+            assert_eq!(
+                rank[s.index()],
+                usize::MAX,
+                "source {s:?} appears twice in a visit order"
+            );
+            rank[s.index()] = position;
+        }
+        Self { sources, rank }
+    }
+
+    /// The sources in visit order.
+    pub fn sources(&self) -> &[SourceId] {
+        &self.sources
+    }
+
+    /// The sources in visit order, by value.
+    pub fn into_sources(self) -> Vec<SourceId> {
+        self.sources
+    }
+
+    /// The position of `source` in the order, if the order visits it.
+    #[inline]
+    pub fn rank(&self, source: SourceId) -> Option<usize> {
+        self.rank
+            .get(source.index())
+            .copied()
+            .filter(|&r| r != usize::MAX)
+    }
+}
+
 /// Produces the complete visit order for a policy.
 ///
 /// `accuracies` and `deps` typically come from a prior (or incremental)

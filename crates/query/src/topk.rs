@@ -7,11 +7,16 @@
 //! the top k: each answer's support has a *lower bound* (votes already seen)
 //! and an *upper bound* (plus everything still unseen).
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use sailing_model::{SnapshotView, SourceId, ValueId};
+#[cfg(test)]
+use sailing_model::SourceId;
+use sailing_model::{ObjectId, SnapshotView, ValueId};
+
+use crate::ordering::VisitOrder;
+
+#[cfg(test)]
+mod reference;
 
 /// Outcome of a top-k run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -24,43 +29,110 @@ pub struct TopKResult {
     pub early_stopped: bool,
 }
 
-/// Runs a weighted top-k count over one *categorical* question: each source
-/// contributes `weight(source)` support to the value it asserts for the
-/// designated object(s).
-///
-/// `support_of` maps a source to `(value, weight)` pairs — typically the
-/// values the source asserts for the query's object(s), weighted by accuracy
-/// and independence. Sources are probed in `order`; `remaining_after[i]` is
-/// the total support the sources after position `i` could still contribute.
-/// The run stops when the k-th answer's lower bound beats every other
-/// answer's upper bound. An exact bound is much tighter than a per-source
-/// maximum when support is skewed (most sources do not cover a given object
-/// at all).
-pub fn top_k_with_exact_bound<F>(
-    order: &[SourceId],
-    k: usize,
-    remaining_after: &[f64],
-    mut support_of: F,
-) -> TopKResult
-where
-    F: FnMut(SourceId) -> Vec<(ValueId, f64)>,
-{
-    assert!(k > 0, "k must be positive");
-    assert_eq!(order.len(), remaining_after.len());
-    let mut support: HashMap<ValueId, f64> = HashMap::new();
-    let mut probed = 0usize;
-
-    for (i, &source) in order.iter().enumerate() {
-        for (value, weight) in support_of(source) {
-            *support.entry(value).or_insert(0.0) += weight.max(0.0);
+impl TopKResult {
+    /// The answer to a query that asks for nothing: no values, no probes.
+    fn empty() -> Self {
+        Self {
+            top: Vec::new(),
+            probed: 0,
+            early_stopped: false,
         }
-        probed = i + 1;
-        let remaining = remaining_after[i];
+    }
+}
+
+/// One source covering the queried object, in visit order.
+struct Probe {
+    /// The source's position in the full visit order.
+    position: usize,
+    value: ValueId,
+    /// The source's weight, clamped at zero.
+    weight: f64,
+    /// The support every later covering source could still add.
+    remaining: f64,
+}
+
+/// Weighted top-k over one object's values in a snapshot: sources are
+/// probed in `order`, each contributing `weights[source]` (e.g. accuracy ×
+/// independence, clamped at zero; a source past the end of `weights`
+/// weighs zero) to the value it asserts. The run stops when the k-th
+/// answer's lower bound (support seen) beats every other answer's upper
+/// bound (plus all support still unseen). The bound is exact: only sources
+/// that cover the object count toward a challenger's potential, which is
+/// much tighter than a per-source maximum when most sources do not cover
+/// the object.
+///
+/// Only the sources covering the object are walked, sorted by their
+/// [`VisitOrder::rank`]; `probed` still counts positions of the full order,
+/// the sources in between adding nothing. Cost: O(c log c + c·d) for the c
+/// sources covering the object and the d ≤ c distinct values they assert,
+/// so O(c log c + k) for the usual handful of values, however many sources
+/// the order holds; build the [`VisitOrder`] once per analysis, not per
+/// query. `k == 0` asks for nothing and gets no values and no probes.
+pub fn top_k_values_for_object(
+    snapshot: &SnapshotView,
+    object: ObjectId,
+    order: &VisitOrder,
+    weights: &[f64],
+    k: usize,
+) -> TopKResult {
+    if k == 0 || order.sources().is_empty() {
+        return TopKResult::empty();
+    }
+    let mut probes: Vec<Probe> = snapshot
+        .assertions_on(object)
+        .iter()
+        .filter_map(|&(s, value)| {
+            let position = order.rank(s)?;
+            let weight = weights.get(s.index()).copied().unwrap_or(0.0).max(0.0);
+            Some(Probe {
+                position,
+                value,
+                weight,
+                remaining: 0.0,
+            })
+        })
+        .collect();
+    probes.sort_unstable_by_key(|p| p.position);
+    // Suffix sums over the covering sources. Every source left out adds
+    // exactly +0.0 to a non-negative sum, so these are the full order's
+    // suffix sums bit for bit.
+    let mut total = 0.0;
+    for probe in probes.iter_mut().rev() {
+        probe.remaining = total;
+        total += probe.weight;
+    }
+    // With no support anywhere the scan stops after position 0. When that
+    // source covers the object, the loop below probes it and stops there.
+    if total <= 0.0 && probes.first().is_none_or(|p| p.position > 0) {
+        return TopKResult {
+            probed: 1,
+            ..TopKResult::empty()
+        };
+    }
+
+    // The running support, kept in answer order: descending support, ties
+    // by ascending value. Support only grows, so after each probe the one
+    // entry it changed moves towards the front.
+    let mut ranked: Vec<(ValueId, f64)> = Vec::new();
+    let mut probed = 0;
+    for probe in &probes {
+        let mut i = match ranked.iter().position(|&(v, _)| v == probe.value) {
+            Some(i) => i,
+            None => {
+                ranked.push((probe.value, 0.0));
+                ranked.len() - 1
+            }
+        };
+        ranked[i].1 += probe.weight;
+        while i > 0 && answer_order(&ranked[i], &ranked[i - 1]).is_lt() {
+            ranked.swap(i, i - 1);
+            i -= 1;
+        }
+        probed = probe.position + 1;
+        let remaining = probe.remaining;
         if remaining <= 0.0 {
             break;
         }
-        let mut ranked: Vec<(ValueId, f64)> = support.iter().map(|(&v, &s)| (v, s)).collect();
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         if ranked.len() >= k {
             let kth_lower = ranked[k - 1].1;
             let challenger_upper = ranked
@@ -68,19 +140,15 @@ where
                 .map(|&(_, s)| s + remaining)
                 .unwrap_or(remaining);
             if kth_lower > challenger_upper {
-                let mut top = ranked;
-                top.truncate(k);
+                ranked.truncate(k);
                 return TopKResult {
-                    top,
+                    top: ranked,
                     probed,
                     early_stopped: true,
                 };
             }
         }
     }
-
-    let mut ranked: Vec<(ValueId, f64)> = support.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.truncate(k);
     TopKResult {
         top: ranked,
@@ -89,58 +157,42 @@ where
     }
 }
 
-/// Convenience: top-k over one object's values in a snapshot, each source
-/// contributing `weights[source]` (e.g. accuracy × independence). Uses the
-/// exact remaining-support bound: only sources that actually cover the
-/// object count toward the challenger's potential.
-pub fn top_k_values_for_object(
-    snapshot: &SnapshotView,
-    object: sailing_model::ObjectId,
-    order: &[SourceId],
-    weights: &[f64],
-    k: usize,
-) -> TopKResult {
-    let contribution = |s: SourceId| -> f64 {
-        if snapshot.value(s, object).is_some() {
-            weights.get(s.index()).copied().unwrap_or(0.0).max(0.0)
-        } else {
-            0.0
-        }
-    };
-    // Suffix sums of the real contributions.
-    let mut remaining_after = vec![0.0f64; order.len()];
-    let mut acc = 0.0;
-    for i in (0..order.len()).rev() {
-        remaining_after[i] = acc;
-        acc += contribution(order[i]);
-    }
-    top_k_with_exact_bound(order, k, &remaining_after, |s| {
-        snapshot
-            .value(s, object)
-            .map(|v| vec![(v, weights.get(s.index()).copied().unwrap_or(0.0))])
-            .unwrap_or_default()
-    })
+/// The answer order: higher support first, ties by ascending value.
+fn answer_order(a: &(ValueId, f64), b: &(ValueId, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use sailing_model::fixtures;
-    use sailing_model::ObjectId;
 
-    /// `remaining_after` for sources of equal weight `w`: the suffix sums.
-    fn suffix_sums(n: usize, w: f64) -> Vec<f64> {
-        (0..n).map(|i| (n - 1 - i) as f64 * w).collect()
+    fn identity(n: usize) -> VisitOrder {
+        VisitOrder::new((0..n).map(SourceId::from_index).collect())
+    }
+
+    /// One object (id 0) that source `s` answers with `value_of(s)`.
+    fn one_object(n: usize, value_of: impl Fn(u32) -> u32) -> SnapshotView {
+        let triples = (0..n as u32).map(|s| (SourceId(s), ObjectId(0), ValueId(value_of(s))));
+        SnapshotView::from_triples(n, 1, triples)
+    }
+
+    /// Every field, supports by their bits.
+    fn bits(result: &TopKResult) -> (Vec<(ValueId, u64)>, usize, bool) {
+        let top = result.top.iter().map(|&(v, s)| (v, s.to_bits())).collect();
+        (top, result.probed, result.early_stopped)
     }
 
     #[test]
     fn finds_the_majority_value() {
         let (store, _) = fixtures::table1();
         let snap = store.snapshot();
-        let order: Vec<SourceId> = (0..5).map(SourceId::from_index).collect();
         let weights = vec![1.0; 5];
         let halevy = store.object_id("Halevy").unwrap();
-        let result = top_k_values_for_object(&snap, halevy, &order, &weights, 1);
+        let result = top_k_values_for_object(&snap, halevy, &identity(5), &weights, 1);
         let uw = store.value_id(&sailing_model::Value::text("UW")).unwrap();
         assert_eq!(result.top[0].0, uw);
         assert_eq!(result.top.len(), 1);
@@ -151,14 +203,8 @@ mod tests {
         // 10 sources, the first 6 all assert value 1 with weight 1; the rest
         // could contribute at most 1 each — after 6 probes value 1 leads by
         // 6 with 4 remaining, and any challenger can reach at most 4.
-        let order: Vec<SourceId> = (0..10).map(SourceId::from_index).collect();
-        let result = top_k_with_exact_bound(&order, 1, &suffix_sums(10, 1.0), |s| {
-            if s.index() < 6 {
-                vec![(ValueId(1), 1.0)]
-            } else {
-                vec![(ValueId(s.0 + 10), 1.0)]
-            }
-        });
+        let snap = one_object(10, |s| if s < 6 { 1 } else { s + 10 });
+        let result = top_k_values_for_object(&snap, ObjectId(0), &identity(10), &[1.0; 10], 1);
         assert!(result.early_stopped, "{result:?}");
         assert!(result.probed < 10);
         assert_eq!(result.top[0].0, ValueId(1));
@@ -166,19 +212,16 @@ mod tests {
 
     #[test]
     fn no_early_stop_on_tight_race() {
-        let order: Vec<SourceId> = (0..4).map(SourceId::from_index).collect();
-        let result = top_k_with_exact_bound(&order, 1, &suffix_sums(4, 1.0), |s| {
-            vec![(ValueId(s.0 % 2), 1.0)]
-        });
+        let snap = one_object(4, |s| s % 2);
+        let result = top_k_values_for_object(&snap, ObjectId(0), &identity(4), &[1.0; 4], 1);
         assert!(!result.early_stopped);
         assert_eq!(result.probed, 4);
     }
 
     #[test]
     fn k_larger_than_answers() {
-        let order: Vec<SourceId> = (0..2).map(SourceId::from_index).collect();
-        let result =
-            top_k_with_exact_bound(&order, 5, &suffix_sums(2, 1.0), |_| vec![(ValueId(0), 1.0)]);
+        let snap = one_object(2, |_| 0);
+        let result = top_k_values_for_object(&snap, ObjectId(0), &identity(2), &[1.0; 2], 5);
         assert_eq!(result.top.len(), 1);
         assert!(!result.early_stopped);
     }
@@ -187,12 +230,11 @@ mod tests {
     fn weighted_sources_change_the_winner() {
         let (store, _) = fixtures::table1();
         let snap = store.snapshot();
-        let order: Vec<SourceId> = (0..5).map(SourceId::from_index).collect();
         // Weight the accurate independents heavily, the copier cluster at
         // nearly zero — the paper's dependence-aware query answering.
         let weights = vec![3.0, 2.0, 0.1, 0.1, 0.1];
         let halevy = store.object_id("Halevy").unwrap();
-        let result = top_k_values_for_object(&snap, halevy, &order, &weights, 1);
+        let result = top_k_values_for_object(&snap, halevy, &identity(5), &weights, 1);
         let google = store
             .value_id(&sailing_model::Value::text("Google"))
             .unwrap();
@@ -202,14 +244,112 @@ mod tests {
     #[test]
     fn object_without_values() {
         let snap = SnapshotView::from_triples(2, 1, Vec::new());
-        let order: Vec<SourceId> = (0..2).map(SourceId::from_index).collect();
-        let result = top_k_values_for_object(&snap, ObjectId(0), &order, &[1.0, 1.0], 1);
+        let result = top_k_values_for_object(&snap, ObjectId(0), &identity(2), &[1.0, 1.0], 1);
         assert!(result.top.is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "k must be positive")]
-    fn zero_k_panics() {
-        top_k_with_exact_bound(&[], 0, &[], |_| Vec::new());
+    fn zero_k_returns_an_empty_answer() {
+        let (store, _) = fixtures::table1();
+        let snap = store.snapshot();
+        let halevy = store.object_id("Halevy").unwrap();
+        let result = top_k_values_for_object(&snap, halevy, &identity(5), &[1.0; 5], 0);
+        assert_eq!(result, TopKResult::empty());
+        assert_eq!((result.probed, result.early_stopped), (0, false));
+    }
+
+    #[test]
+    fn probed_counts_full_order_positions() {
+        // Only source 3 (at position 1) and source 0 (at position 3) cover
+        // the object; the scan ends on the last covering source.
+        let snap = SnapshotView::from_triples(
+            4,
+            1,
+            [
+                (SourceId(0), ObjectId(0), ValueId(2)),
+                (SourceId(3), ObjectId(0), ValueId(2)),
+            ],
+        );
+        let order = VisitOrder::new([1, 3, 2, 0].map(SourceId).to_vec());
+        let result = top_k_values_for_object(&snap, ObjectId(0), &order, &[1.0; 4], 1);
+        assert_eq!(result.probed, 4);
+        assert_eq!(result.top, vec![(ValueId(2), 2.0)]);
+        // No covering source weighs anything: the scan stops after the
+        // first position, which does not cover the object.
+        let result = top_k_values_for_object(&snap, ObjectId(0), &order, &[0.0, 1.0, 1.0, -1.0], 1);
+        assert_eq!(bits(&result), (Vec::new(), 1, false));
+    }
+
+    /// One weight from a palette with every edge the clamp and the sort
+    /// must survive, and small integers so supports tie.
+    fn weight(rng: &mut ChaCha8Rng) -> f64 {
+        match rng.gen_range(0..10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => [f64::NAN, -f64::NAN][rng.gen_range(0..2)],
+            3 => [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2)],
+            4 => -rng.gen::<f64>(),
+            5 | 6 => rng.gen_range(1..3) as f64,
+            _ => rng.gen::<f64>(),
+        }
+    }
+
+    #[test]
+    fn topk_parity_random_cases_match_the_full_order_scan() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x70b_4a11);
+        let (mut queries, mut early, mut stopped_at_zero) = (0usize, 0usize, 0usize);
+        for case in 0..3_000 {
+            let (sources, objects) = (rng.gen_range(0..12), rng.gen_range(0..5));
+            let density = rng.gen::<f64>();
+            let values = rng.gen_range(1..5u32);
+            let mut triples = Vec::new();
+            for s in 0..sources as u32 {
+                for o in 0..objects as u32 {
+                    if rng.gen_bool(density) {
+                        triples.push((SourceId(s), ObjectId(o), ValueId(rng.gen_range(0..values))));
+                    }
+                }
+            }
+            let snap = SnapshotView::from_triples(sources, objects, triples);
+            // Weights may stop short of the sources; the order may leave
+            // sources out or name sources the snapshot does not have.
+            let weights: Vec<f64> = (0..rng.gen_range(0..sources + 2))
+                .map(|_| weight(&mut rng))
+                .collect();
+            let mut order: Vec<SourceId> = (0..sources + rng.gen_range(0..3))
+                .map(SourceId::from_index)
+                .collect();
+            order.shuffle(&mut rng);
+            order.truncate(order.len() - rng.gen_range(0..=order.len().min(2)));
+            let visit = VisitOrder::new(order.clone());
+            for object in (0..objects + 2).map(ObjectId::from_index) {
+                for k in 1..=snap.support(object) + 3 {
+                    let fast = top_k_values_for_object(&snap, object, &visit, &weights, k);
+                    let slow =
+                        reference::top_k_values_for_object(&snap, object, &order, &weights, k);
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&slow),
+                        "case {case}: object {object:?}, k {k}, order {order:?}, weights {weights:?}"
+                    );
+                    queries += 1;
+                    early += usize::from(fast.early_stopped);
+                    stopped_at_zero += usize::from(fast.probed == 1 && fast.top.is_empty());
+                }
+            }
+        }
+        eprintln!("{queries} {early} {stopped_at_zero}");
+        assert!(queries > 40_000, "{queries} queries");
+        assert!(early > 500, "{early} early stops");
+        assert!(
+            stopped_at_zero > 5_000,
+            "{stopped_at_zero} stops at position 0"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "appears twice")]
+    fn a_visit_order_names_each_source_once() {
+        VisitOrder::new(vec![SourceId(1), SourceId(0), SourceId(1)]);
     }
 }

@@ -360,6 +360,29 @@ mod tests {
     }
 
     #[test]
+    fn zero_k_top_k_is_an_empty_answer_and_the_reader_keeps_serving() {
+        let (store, truth) = fixtures::table1();
+        let handle = ServeHandle::new(SailingEngine::with_defaults(), Arc::new(store.snapshot()));
+        let halevy = store.object_id("Halevy").unwrap();
+        let reader_thread = {
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let mut reader = handle.reader();
+                let empty = reader.top_k(halevy, 0, &OrderingPolicy::ByAccuracy);
+                let after = reader.top_k(halevy, 1, &OrderingPolicy::ByAccuracy);
+                (empty, after)
+            })
+        };
+        let (empty, after) = reader_thread
+            .join()
+            .expect("k = 0 must not kill the reader");
+        assert!(empty.top.is_empty());
+        assert_eq!((empty.probed, empty.early_stopped), (0, false));
+        assert_eq!(Some(after.top[0].0), truth.value(halevy));
+        assert_eq!(handle.metrics().endpoint(Endpoint::TopK).requests, 2);
+    }
+
+    #[test]
     fn readmitting_the_current_snapshot_does_not_swap_the_epoch() {
         let (store, _) = fixtures::table1();
         let snapshot = Arc::new(store.snapshot());

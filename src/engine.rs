@@ -130,6 +130,7 @@
 //! );
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,7 +157,7 @@ use sailing_persist::{
     CompactReport, PersistStats, PersistentStore, StoreFs, StoreKey, StoreOptions,
 };
 use sailing_query::topk::{top_k_values_for_object, TopKResult};
-use sailing_query::{order_sources, OnlineSession, OrderingPolicy};
+use sailing_query::{order_sources, OnlineSession, OrderingPolicy, VisitOrder};
 use sailing_recommend::{
     recommend_sources, trust_scores, Goal, Recommendation, TrustScore, TrustWeights,
 };
@@ -1058,6 +1059,8 @@ impl SailingEngine {
             reports: OnceLock::new(),
             trust: OnceLock::new(),
             fused: OnceLock::new(),
+            orders: Default::default(),
+            topk_weights: OnceLock::new(),
         });
         Analysis {
             snapshot,
@@ -1109,8 +1112,8 @@ impl std::fmt::Debug for SailingEngine {
 ///
 /// All accessors are cheap: the pipeline ran during
 /// [`SailingEngine::analyze_owned`], and what is derived from its result
-/// (the dependence matrix, reports, trust scores, fusion outcome) is built
-/// on first use, once per analysis.
+/// (the dependence matrix, reports, trust scores, fusion outcome, visit
+/// orders and top-k weights) is built on first use, once per analysis.
 /// The handle **owns** its data through [`Arc`]s — it is `Send + 'static`,
 /// so analyses can be stored beyond the snapshot's scope, kept alive across
 /// epochs of a timeline, and shared across threads; cloning bumps reference
@@ -1147,6 +1150,12 @@ struct Derived {
     /// The fusion outcome, so `fuse()` clones the decision map instead of
     /// rebuilding it over every object.
     fused: OnceLock<FusionOutcome>,
+    /// The visit orders of the deterministic policies with their ranks
+    /// (`ByCoverage`, `ByAccuracy`, `GreedyIndependent`, in that order), so
+    /// `top_k()` never re-ranks every source per query.
+    orders: [OnceLock<VisitOrder>; 3],
+    /// Each source's top-k weight: accuracy × mean vote independence.
+    topk_weights: OnceLock<Vec<f64>>,
 }
 
 impl Analysis {
@@ -1271,26 +1280,49 @@ impl Analysis {
     }
 
     /// The complete source-visit order a policy produces under this
-    /// analysis's accuracies and dependences.
+    /// analysis's accuracies and dependences. The deterministic policies'
+    /// orders are built once per analysis and memoised; `Random(seed)` is
+    /// shuffled on each call. Cost on a memo hit: one O(sources) copy.
     pub fn visit_order(&self, policy: &OrderingPolicy) -> Vec<SourceId> {
-        order_sources(
-            &self.snapshot,
-            &self.result.accuracies,
-            self.dependence_matrix(),
-            policy,
-        )
+        match self.order(policy) {
+            Cow::Borrowed(order) => order.sources().to_vec(),
+            Cow::Owned(order) => order.into_sources(),
+        }
     }
 
     /// Dependence-aware top-k answering for one object: each source's
     /// support is weighted by its accuracy times its vote independence.
+    /// Cost: O(c log c + k) for the c sources covering the object, the
+    /// visit ranks and the weights being memoised per analysis (a
+    /// `Random(seed)` order is still built per call).
     pub fn top_k(&self, object: ObjectId, k: usize, policy: &OrderingPolicy) -> TopKResult {
-        let order = self.visit_order(policy);
-        let weights: Vec<f64> = self
-            .source_reports()
-            .iter()
-            .map(|r| r.accuracy * r.mean_independence)
-            .collect();
-        top_k_values_for_object(&self.snapshot, object, &order, &weights, k)
+        let weights = self.derived.topk_weights.get_or_init(|| {
+            self.source_reports()
+                .iter()
+                .map(|r| r.accuracy * r.mean_independence)
+                .collect()
+        });
+        top_k_values_for_object(&self.snapshot, object, &self.order(policy), weights, k)
+    }
+
+    /// `policy`'s visit order with its ranks: from the memo for the
+    /// deterministic policies, freshly shuffled for `Random`.
+    fn order(&self, policy: &OrderingPolicy) -> Cow<'_, VisitOrder> {
+        let build = || {
+            VisitOrder::new(order_sources(
+                &self.snapshot,
+                &self.result.accuracies,
+                self.dependence_matrix(),
+                policy,
+            ))
+        };
+        let slot = match policy {
+            OrderingPolicy::Random(_) => return Cow::Owned(build()),
+            OrderingPolicy::ByCoverage => 0,
+            OrderingPolicy::ByAccuracy => 1,
+            OrderingPolicy::GreedyIndependent => 2,
+        };
+        Cow::Borrowed(self.derived.orders[slot].get_or_init(build))
     }
 
     /// Per-source trust scores (accuracy, coverage, freshness,
@@ -2635,10 +2667,19 @@ mod tests {
         let reports = analysis.source_reports();
         let trust = analysis.trust_scores();
         let fused = analysis.fuse();
+        let memo_order = |a: &Analysis, policy: &OrderingPolicy| match a.order(policy) {
+            Cow::Borrowed(order) => order as *const VisitOrder,
+            Cow::Owned(_) => panic!("{} must be memoised", policy.name()),
+        };
+        let greedy = memo_order(&analysis, &OrderingPolicy::GreedyIndependent);
         // Filled before the clone: the clone reads the same allocations.
         let clone = analysis.clone();
         assert!(std::ptr::eq(reports, clone.source_reports()));
         assert!(std::ptr::eq(trust, clone.trust_scores()));
+        assert!(std::ptr::eq(
+            greedy,
+            memo_order(&clone, &OrderingPolicy::GreedyIndependent)
+        ));
         assert!(std::ptr::eq(
             analysis.dependence_matrix(),
             clone.dependence_matrix()
@@ -2653,6 +2694,15 @@ mod tests {
         assert!(std::ptr::eq(
             other_clone.source_reports(),
             other.source_reports()
+        ));
+        for policy in [OrderingPolicy::ByCoverage, OrderingPolicy::ByAccuracy] {
+            let filled = memo_order(&other_clone, &policy);
+            assert!(std::ptr::eq(filled, memo_order(&other, &policy)));
+        }
+        // `Random` is shuffled per call and never memoised.
+        assert!(matches!(
+            other.order(&OrderingPolicy::Random(5)),
+            Cow::Owned(_)
         ));
         // Every memoised outcome shares the one pipeline result and
         // repeats the fresh outcome's decisions.
