@@ -5,8 +5,8 @@
 //! Per iteration, dependence detection is O(|pairs|) pairwise Bayesian
 //! tests and dominates the loop's cost, while the vote/estimate tail is
 //! cheap and global. The decomposition here exploits that split: a
-//! **coordinator** owns the outer iteration, **workers** (threads or
-//! cooperating processes) each run [`AccuCopy::run_shard`] over one
+//! **coordinator** owns the outer iteration, **workers** (threads of one
+//! process) each run [`AccuCopy::run_shard`] over one
 //! [`PairRange`] of the sorted pair list, and the coordinator folds the
 //! resulting [`PartialDependence`] records back together with
 //! [`AccuCopy::merge_partials`], which concatenates them in pair order
@@ -29,14 +29,15 @@
 //! Each partial is stamped with the [`state digest`](PartialDependence::state_digest)
 //! of the iteration state it was computed against; the merge rejects
 //! stale or mismatched partials rather than folding them in, so a
-//! worker that raced an old epoch can never skew the posterior.
+//! partial computed against another iteration can never skew the
+//! posterior.
 //!
 //! The sharded loop is the same [`AccuCopy::drive`] loop as the
 //! monolithic one, so the pipeline's armed [`Watchdog`](crate::Watchdog)
 //! (limit cycles, deadline) stops a sharded run exactly where it stops
 //! [`AccuCopy::run_warm`], with the same [`Termination`].
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use sailing_model::{fx_mix, SailingError, SnapshotView};
 
@@ -47,7 +48,7 @@ use crate::truth::naive_probabilities;
 
 /// One contiguous half-open slice `[start, end)` of the canonical sorted
 /// candidate-pair list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PairRange {
     /// First pair index covered (inclusive).
     pub start: usize,
@@ -68,12 +69,8 @@ impl PairRange {
 }
 
 /// Dependence posteriors for one pair-range shard at one iteration —
-/// the unit workers publish and the coordinator merges.
-///
-/// Serializable (canonical JSON via [`PartialDependence::to_canonical_json`])
-/// so cooperating worker *processes* can publish partials through the
-/// persistent store's blob API.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the unit a worker returns and the coordinator merges.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PartialDependence {
     /// The slice of the canonical pair list this partial covers.
     pub range: PairRange,
@@ -87,24 +84,6 @@ pub struct PartialDependence {
     pub state_digest: u64,
     /// Detected dependences for the range, in canonical pair order.
     pub dependences: Vec<PairDependence>,
-}
-
-impl PartialDependence {
-    /// Canonical JSON text of this partial (same guarantees as
-    /// [`PipelineResult::to_canonical_json`]: byte-identical for equal
-    /// partials, floats round-trip bit for bit).
-    pub fn to_canonical_json(&self) -> String {
-        serde::json::write(&self.serialize())
-    }
-
-    /// Parses a partial back from its canonical JSON text.
-    ///
-    /// # Errors
-    /// Returns the underlying parse/shape error; coordinators treat any
-    /// error as "partial not available" and recompute locally.
-    pub fn from_json_str(text: &str) -> Result<Self, serde::Error> {
-        Self::deserialize(&serde::json::parse(text)?)
-    }
 }
 
 /// The outcome of merging one iteration's partials.
@@ -125,10 +104,10 @@ pub struct ShardStep {
 /// [`SnapshotView::content_hash`]; not cryptographic.
 ///
 /// It has two uses. A [`PartialDependence`] computed against `state`
-/// carries it ([`PartialDependence::state_digest`]), and a coordinator
-/// compares it before *adopting* a partial published by a cooperating
-/// process, so a stale one is recomputed locally instead of poisoning
-/// the merge. And the [`Watchdog`](crate::Watchdog) records it per
+/// carries it ([`PartialDependence::state_digest`]), and
+/// [`AccuCopy::merge_partials`] rejects a partial whose digest is not
+/// its own state's, so a stale partial can never poison the merge. And
+/// the [`Watchdog`](crate::Watchdog) records it per
 /// iteration: an exact recurrence means the deterministic loop has
 /// entered a cycle. A 64-bit collision there would end a run a few
 /// iterations early as a (correctly non-converged) `LimitCycle` — a
@@ -248,7 +227,7 @@ impl AccuCopy {
     /// * a partial computed against a different iteration state
     ///   (digest mismatch — the stale-worker case);
     /// * ranges that gap, overlap, or fail to cover `[0, total_pairs)`
-    ///   (duplicated claims must be deduplicated by the caller).
+    ///   (a range passed twice is an overlap).
     pub fn merge_partials(
         &self,
         snapshot: &SnapshotView,
@@ -315,7 +294,7 @@ impl AccuCopy {
     /// over `workers` ranges via [`AccuCopy::run_shard`] and folded with
     /// [`AccuCopy::merge_partials`]. Produces a result bitwise identical
     /// to [`AccuCopy::run_warm`], watchdog stops included — the reference
-    /// the engine's threaded and multi-process drivers are pinned against.
+    /// the engine's threaded driver is pinned against.
     ///
     /// # Errors
     /// Propagates [`AccuCopy::merge_partials`] failures; none occur when
@@ -340,7 +319,6 @@ impl AccuCopy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::DetectionParams;
     use sailing_model::fixtures;
 
     fn assert_bitwise_equal(sharded: &PipelineResult, monolithic: &PipelineResult) {
@@ -466,32 +444,5 @@ mod tests {
 
         // No partials at all is rejected.
         assert!(pipeline.merge_partials(&snap, &state, &[]).is_err());
-    }
-
-    #[test]
-    fn partial_dependence_round_trips_canonical_json() {
-        let (store, _) = fixtures::table1();
-        let snap = store.snapshot();
-        let pipeline = AccuCopy::new(DetectionParams {
-            convergence_epsilon: 1e-12,
-            max_iterations: 50,
-            ..DetectionParams::default()
-        })
-        .unwrap();
-        let state = pipeline.bootstrap_sharded(&snap, None);
-        let total = pipeline.pair_count(&snap);
-        let partial = pipeline.run_shard(
-            &snap,
-            PairRange {
-                start: 0,
-                end: total,
-            },
-            &state,
-        );
-        assert!(!partial.dependences.is_empty());
-        let text = partial.to_canonical_json();
-        let back = PartialDependence::from_json_str(&text).unwrap();
-        assert_eq!(back, partial);
-        assert_eq!(back.to_canonical_json(), text, "canonical text is stable");
     }
 }

@@ -88,31 +88,19 @@
 //!   sweep, and a concurrent `get` sees a complete entry or a clean
 //!   cold miss, never a half-swept one.
 //!
-//! # Coordination files
+//! # Store files
 //!
-//! Every file of a store — entries, blobs, claims, the compaction lock —
-//! lives in its one root directory, at a path that is a pure function of
-//! its name. Subdirectories are never read, counted, or swept, so a
-//! `shards/` tree left by an older build's hash-prefix layout holds only
-//! cold misses and may be deleted by hand. Alongside keyed entries, a
-//! store carries **named
-//! coordination files** for cooperating processes (the distributed
-//! pair-shard analysis drives these):
-//!
-//! * [`PersistentStore::put_blob`] / [`get_blob`](PersistentStore::get_blob)
-//!   — checksummed, atomically renamed payloads addressed by name
-//!   (`<name>.blob`); any damage reads as `None`, like entries.
-//! * [`PersistentStore::try_claim`] — an `O_CREAT|O_EXCL` marker
-//!   (`<name>.claim`): exactly one process wins each name. Claims are
-//!   advisory work-distribution hints, not locks — a claimed unit whose
-//!   result never appears is simply recomputed by whoever needs it, so
-//!   a crashed worker costs duplicated work, never liveness.
-//!
-//! Blob and claim files are invisible to the entry read path, `len`,
-//! and compaction's entry sweep (only aged `.blob.tmp-` debris is
-//! orphan-swept); the protocol built on them owns their lifecycle via
-//! [`remove_blob`](PersistentStore::remove_blob) /
-//! [`remove_claim`](PersistentStore::remove_claim).
+//! A store is one flat directory holding two kinds of file: the keyed
+//! entries (`<key>.sail`, see [Format](self#format-version-1)), and the
+//! `compact.lock` that admits one compactor at a time. Both sit at a path
+//! that is a pure function of their name; in-flight writes and captured
+//! entries live beside them only as short-lived `.sail.tmp-` /
+//! `.sail.trash-` side files that compaction's age-gated orphan sweep
+//! removes once abandoned. Nothing else in the directory is read,
+//! counted, or swept: a `shards/` tree left by an older build's
+//! hash-prefix layout, or `.blob`, `.claim`, and `.blob.tmp-` files left
+//! by an older build's cross-process shard cooperation, hold only cold
+//! misses and may be deleted by hand.
 //!
 //! # Failure semantics
 //!
@@ -273,15 +261,6 @@ pub const ORPHAN_SWEEP_AGE: Duration = Duration::from_secs(30);
 
 /// Name of the advisory compaction lock file inside a store directory.
 const COMPACT_LOCK_NAME: &str = "compact.lock";
-
-/// File extension of named blobs ([`PersistentStore::put_blob`]).
-pub const BLOB_EXTENSION: &str = "blob";
-
-/// File extension of claim markers ([`PersistentStore::try_claim`]).
-pub const CLAIM_EXTENSION: &str = "claim";
-
-/// Magic token opening every named-blob file.
-const BLOB_MAGIC: &str = "sailing-blob";
 
 /// Age after which a `compact.lock` is presumed abandoned by a crashed
 /// compactor and may be broken.
@@ -646,7 +625,7 @@ impl StoreInner {
         )
     }
 
-    /// The one atomic publish, for entries and blobs alike: writes
+    /// The one atomic publish of an entry file: writes
     /// `bytes` to a unique temp file in the store directory, then renames
     /// it into place under `file_name`. A reader sees the previous file or
     /// the complete new one, never a torn write; a failed rename removes
@@ -654,7 +633,7 @@ impl StoreInner {
     fn publish(&self, file_name: &str, bytes: &[u8]) -> Result<(), SailingError> {
         // The temp name must be unique per *write*, not just per process:
         // two in-process writers can race on one name (two handles
-        // sharing a dir, two publishers of one blob), and a shared temp
+        // sharing a dir, two puts of one key), and a shared temp
         // path would let one write truncate the other mid-stream and
         // publish a torn file.
         static WRITE_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1165,13 +1144,15 @@ impl PersistentStore {
     /// ([`CompactReport::restored`]), never deleted. Concurrent readers
     /// see a complete entry or a clean cold miss throughout.
     ///
-    /// The orphan sweep (stray `.tmp-`, `.trash-`, and stale-lock-tomb
-    /// side files) is **age-gated** by [`ORPHAN_SWEEP_AGE`]: a side file
+    /// The orphan sweep (stray `.sail.tmp-`, `.sail.trash-`, and
+    /// stale-lock-tomb side files) is **age-gated** by [`ORPHAN_SWEEP_AGE`]: a side file
     /// younger than the gate may be another handle's in-flight write
     /// parked between temp-file creation and rename, so it is left
     /// alone — only crash debris old enough that no live write can still
     /// own it is removed. A side file whose age the filesystem cannot
     /// report is treated as young (never delete what might be alive).
+    /// Files of no other kind are left in place (see
+    /// [Store files](self#store-files)).
     ///
     /// # Errors
     /// [`SailingError::Persist`] when the directory scan or a removal
@@ -1251,7 +1232,6 @@ impl PersistentStore {
             let orphan = path.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
                 n.contains(&format!(".{ENTRY_EXTENSION}.tmp-"))
                     || n.contains(&format!(".{ENTRY_EXTENSION}.trash-"))
-                    || n.contains(&format!(".{BLOB_EXTENSION}.tmp-"))
                     || n.contains(&format!("{COMPACT_LOCK_NAME}.stale-"))
             });
             let abandoned = orphan
@@ -1270,75 +1250,6 @@ impl PersistentStore {
             }
         }
         Ok(())
-    }
-
-    /// Durably publishes `bytes` as the named blob — a checksummed,
-    /// atomically renamed coordination file addressed by `name` instead
-    /// of a [`StoreKey`]. Blobs live in the store directory beside
-    /// entries but are invisible to `get`/`len`/`compact`'s entry sweep;
-    /// shard workers use them to exchange partial results (see the
-    /// [module docs](self#coordination-files)). A re-put under the same
-    /// name atomically replaces the previous blob.
-    ///
-    /// # Errors
-    /// [`SailingError::InvalidConfig`] for an unusable name (empty, too
-    /// long, or containing path separators); [`SailingError::Persist`]
-    /// when the filesystem write or rename fails.
-    pub fn put_blob(&self, name: &str, bytes: &[u8]) -> Result<(), SailingError> {
-        let file_name = blob_file_name(name, BLOB_EXTENSION)?;
-        self.inner.publish(&file_name, &frame(BLOB_MAGIC, bytes))
-    }
-
-    /// Reads back a named blob published by [`PersistentStore::put_blob`]
-    /// (by this or any cooperating process). Every failure — missing
-    /// file, torn write, checksum or version mismatch, unusable name —
-    /// degrades to `None`, mirroring the entry read path's
-    /// miss-never-error contract.
-    pub fn get_blob(&self, name: &str) -> Option<Vec<u8>> {
-        let file_name = blob_file_name(name, BLOB_EXTENSION).ok()?;
-        let bytes = self.inner.fs.read(&self.inner.dir.join(file_name)).ok()?;
-        unframe(BLOB_MAGIC, &bytes).ok().map(<[u8]>::to_vec)
-    }
-
-    /// Removes a named blob. `true` when a file was actually unlinked.
-    pub fn remove_blob(&self, name: &str) -> bool {
-        let Ok(file_name) = blob_file_name(name, BLOB_EXTENSION) else {
-            return false;
-        };
-        self.inner
-            .fs
-            .remove_file(&self.inner.dir.join(file_name))
-            .is_ok()
-    }
-
-    /// Attempts to take the named advisory claim: an `O_CREAT|O_EXCL`
-    /// marker file in the store directory. Exactly one cooperating
-    /// process wins each name; the rest observe `false` and move on.
-    /// Claims are coordination hints, not locks — a claimed work unit
-    /// that never publishes its result is simply recomputed by whoever
-    /// needs it (see the multi-process shard protocol in the
-    /// [module docs](self#coordination-files)).
-    pub fn try_claim(&self, name: &str) -> bool {
-        let Ok(file_name) = blob_file_name(name, CLAIM_EXTENSION) else {
-            return false;
-        };
-        let token = format!("{} {}", std::process::id(), unix_millis());
-        self.inner
-            .fs
-            .create_exclusive(&self.inner.dir.join(file_name), token.as_bytes())
-            .is_ok()
-    }
-
-    /// Removes a claim marker taken via [`PersistentStore::try_claim`].
-    /// `true` when a file was actually unlinked.
-    pub fn remove_claim(&self, name: &str) -> bool {
-        let Ok(file_name) = blob_file_name(name, CLAIM_EXTENSION) else {
-            return false;
-        };
-        self.inner
-            .fs
-            .remove_file(&self.inner.dir.join(file_name))
-            .is_ok()
     }
 }
 
@@ -1509,25 +1420,7 @@ pub fn checksum_bytes(bytes: &[u8]) -> u64 {
     fx_mix(h, u64::from_le_bytes(last))
 }
 
-/// Validates a blob/claim name and appends the extension. Names address
-/// files directly, so they must be a single portable path component.
-fn blob_file_name(name: &str, extension: &str) -> Result<String, SailingError> {
-    let ok = !name.is_empty()
-        && name.len() <= 200
-        && !name.starts_with('.')
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.'));
-    if !ok {
-        return Err(SailingError::config(
-            "persist blob name",
-            format!("{name:?} is not a portable single-component file stem"),
-        ));
-    }
-    Ok(format!("{name}.{extension}"))
-}
-
-/// Frames `payload` as one store file, entry or blob: the header line
+/// Frames `payload` as one store file: the header line
 /// `<magic> v<FORMAT_VERSION> <payload_len> <checksum:016x>\n`, then
 /// the payload bytes.
 fn frame(magic: &str, payload: &[u8]) -> Vec<u8> {
@@ -2277,39 +2170,32 @@ mod tests {
     }
 
     #[test]
-    fn blob_and_claim_roundtrip_with_damage_as_none() {
-        let dir = temp_dir("blobs");
+    fn leftover_blob_and_claim_files_are_inert() {
+        let dir = temp_dir("leftover-blobs");
+        let (snapshot, result, key) = table1_entry();
         let store = PersistentStore::open(&dir).unwrap();
-        assert!(store.get_blob("partial-0").is_none(), "absent reads None");
-        store.put_blob("partial-0", b"payload bytes").unwrap();
-        assert_eq!(store.get_blob("partial-0").unwrap(), b"payload bytes");
-        // Re-put replaces atomically.
-        store.put_blob("partial-0", b"v2").unwrap();
-        assert_eq!(store.get_blob("partial-0").unwrap(), b"v2");
-        // Blobs are invisible to the entry surface.
-        assert_eq!(store.len(), 0);
+        store.put(key, Arc::clone(&snapshot), Arc::clone(&result));
+        store.flush().unwrap();
+        // Coordination files an older build's cross-process shard runs
+        // could leave behind, the temp one aged past the orphan gate.
+        let planted = [
+            (dir.join("x.blob"), &b"sailing-blob v1 2 0\n{}"[..]),
+            (dir.join("x.claim"), &b"123 456"[..]),
+            (dir.join("x.blob.tmp-1-1"), &b"crash debris"[..]),
+        ];
+        for (path, bytes) in &planted {
+            std::fs::write(path, bytes).unwrap();
+        }
+        age_file(&planted[2].0, ORPHAN_SWEEP_AGE * 2);
 
-        // A torn/corrupted blob degrades to a clean None.
-        let name = blob_file_name("partial-0", BLOB_EXTENSION).unwrap();
-        let path = dir.join(&name);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 1);
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(store.get_blob("partial-0").is_none(), "torn blob is None");
-
-        // Claims: exactly one winner per name, idempotent removal.
-        assert!(store.try_claim("shard-0-4"));
-        assert!(!store.try_claim("shard-0-4"), "second claimant loses");
-        let other = PersistentStore::open(&dir).unwrap();
-        assert!(!other.try_claim("shard-0-4"), "other handles lose too");
-        assert!(store.remove_claim("shard-0-4"));
-        assert!(!store.remove_claim("shard-0-4"), "already gone");
-        assert!(other.try_claim("shard-0-4"), "free again after removal");
-
-        // Unusable names are refused without touching the filesystem.
-        assert!(store.put_blob("../escape", b"x").is_err());
-        assert!(store.get_blob("").is_none());
-        assert!(!store.try_claim("a/b"));
+        assert_eq!(store.len(), 1, "only the entry is counted");
+        assert!(store.get(key, &snapshot).is_some(), "the entry still hits");
+        let report = store.compact().unwrap();
+        assert_eq!((report.kept, report.removed), (1, 0), "{report:?}");
+        for (path, bytes) in &planted {
+            assert_eq!(std::fs::read(path).unwrap(), *bytes, "{path:?} untouched");
+        }
+        assert!(store.get(key, &snapshot).is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

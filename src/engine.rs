@@ -135,12 +135,11 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 use serde::Serialize;
 
 use sailing_core::pairs::balanced_chunks;
-use sailing_core::shard::{iteration_digest, shard_ranges, PairRange, PartialDependence};
+use sailing_core::shard::{shard_ranges, PairRange};
 use sailing_core::truth::{DependenceMatrix, ValueProbabilities};
 use sailing_core::{
     AccuCopy, DeltaOutcome, DeltaRun, DetectionParams, PairDependence, PipelineResult,
@@ -164,34 +163,6 @@ use sailing_recommend::{
 
 /// Default number of snapshot analyses the engine keeps cached.
 const DEFAULT_CACHE_CAPACITY: usize = 16;
-
-/// How often a cooperative sharded analysis re-polls the store for a
-/// partial claimed by another process.
-const SHARD_ADOPT_POLL: Duration = Duration::from_millis(25);
-
-/// How long it polls before concluding the claimant is gone and
-/// recomputing the range locally — the liveness bound for a crashed
-/// peer.
-const SHARD_ADOPT_DEADLINE: Duration = Duration::from_secs(2);
-
-/// Store name (claim and blob alike) coordinating one pair-range of one
-/// iteration of one snapshot's sharded analysis, under the run's cold
-/// [`quotient_cache_key`]. Blob names carry no self-certifying snapshot
-/// hash (unlike store entries), so the key's provenance — the
-/// equivalence backend's lane — is folded into the named hash: partials
-/// computed under different backends can never be adopted across runs.
-/// The exact backend's key has no provenance, so its names are the bare
-/// content hash.
-fn shard_partial_name(key: StoreKey, iteration: usize, range: PairRange) -> String {
-    let hash = match key.provenance {
-        None => key.snapshot_hash,
-        Some(provenance) => fx_mix(key.snapshot_hash, provenance),
-    };
-    format!(
-        "shard-{hash:016x}-i{iteration}-{}-{}",
-        range.start, range.end
-    )
-}
 
 /// Joins scoped workers in spawn order, one outcome per worker. A
 /// worker's panic becomes [`SailingError::WorkerPanicked`] instead of
@@ -471,7 +442,7 @@ impl SailingEngineBuilder {
             temporal_params: self.temporal_params,
             cache: Arc::new(AnalysisCache::new(self.cache_capacity)),
             persist,
-            shard: Arc::new(ShardCounters::default()),
+            shard_runs: Arc::default(),
             equivalence: self.equivalence.unwrap_or_else(|| Arc::new(Exact)),
         })
     }
@@ -499,24 +470,13 @@ pub struct SailingEngine {
     /// The durable tier under the in-memory cache, when configured —
     /// shared by clones, like the cache itself.
     persist: Option<Arc<PersistentStore>>,
-    /// Counters for the pair-sharded analysis path — shared by clones,
-    /// like the cache.
-    shard: Arc<ShardCounters>,
+    /// Pair-range detection passes [`SailingEngine::analyze_sharded`]
+    /// ran ([`CacheStats::shard_runs`]) — shared by clones, like the
+    /// cache.
+    shard_runs: Arc<AtomicU64>,
     /// The value-equivalence backend every analysis path quotients
     /// through; [`Exact`] by default (zero-cost, bitwise-identical).
     equivalence: Arc<dyn ValueEquivalence>,
-}
-
-/// Counters behind [`CacheStats::shard_runs`] /
-/// [`CacheStats::shard_partials_adopted`].
-#[derive(Debug, Default)]
-struct ShardCounters {
-    /// Pair-range detection passes this engine (and its clones) computed
-    /// locally.
-    runs: AtomicU64,
-    /// Partials adopted from a cooperating process's published blob
-    /// instead of being recomputed.
-    adopted: AtomicU64,
 }
 
 impl SailingEngine {
@@ -561,8 +521,7 @@ impl SailingEngine {
             capacity: cache.capacity,
             disk_hits: cache.disk_hits.load(Ordering::Relaxed),
             disk_misses: cache.disk_misses.load(Ordering::Relaxed),
-            shard_runs: self.shard.runs.load(Ordering::Relaxed),
-            shard_partials_adopted: self.shard.adopted.load(Ordering::Relaxed),
+            shard_runs: self.shard_runs.load(Ordering::Relaxed),
             persist: self.persist.as_deref().map(PersistentStore::stats),
         }
     }
@@ -681,9 +640,9 @@ impl SailingEngine {
         .0
     }
 
-    /// Pair-sharded distributed analysis: fans the dependence-detection
-    /// pass of each discovery iteration over `workers` contiguous ranges
-    /// of the candidate-pair list (see [`sailing_core::shard`]) and folds
+    /// Pair-sharded analysis: fans the dependence-detection pass of each
+    /// discovery iteration over `workers` contiguous ranges of the
+    /// candidate-pair list (see [`sailing_core::shard`]) and folds
     /// the partials back into a result **bitwise identical** to
     /// [`SailingEngine::analyze`] on the same snapshot. The loop runs under
     /// the watchdog armed with
@@ -691,32 +650,17 @@ impl SailingEngine {
     /// deadline stops it at the same iteration, with the same
     /// [`Analysis::termination`], as the monolithic run.
     ///
-    /// Without a persistent store the fan-out runs on `workers` scoped
-    /// threads in this process. With one attached
-    /// ([`SailingEngineBuilder::persist_dir`]), the fan-out is
-    /// **cooperative**: each iteration's ranges are claimed through
-    /// durable `.claim` entries and finished partials are published as
-    /// store blobs, so several engine *processes* pointed at one store
-    /// directory split the detection work of a single analysis. Unclaimed
-    /// partials are adopted from the store (validated against the local
-    /// iteration state and counted in
-    /// [`CacheStats::shard_partials_adopted`]); a claimed partial that
-    /// never appears is recomputed locally after a short deadline, so a
-    /// crashed peer slows the run down but can neither wedge nor skew it.
-    /// Claims and blobs are swept best-effort when the run completes;
-    /// debris from a crashed run is adopted (if still valid) or simply
-    /// out-waited by the next run.
-    ///
-    /// Sharded results bypass the analysis cache, like streamed analyses:
-    /// the path exists to bound the latency of one large analysis, not to
-    /// warm the cache.
+    /// The fan-out runs on `workers` scoped threads in this process (one
+    /// range runs inline). Sharded results bypass both the analysis cache
+    /// and the persistent store, like streamed analyses: the path exists
+    /// to bound the latency of one large analysis, not to warm either
+    /// tier.
     ///
     /// # Errors
     /// A configuration error when the installed strategy is not the
     /// iterative ACCU/ACCU-COPY family (the sharded loop distributes that
-    /// specific iteration), a merge error if the store hands back
-    /// partials that cannot reproduce the monolithic pass, or
-    /// [`SailingError::WorkerPanicked`] if a local shard worker panics.
+    /// specific iteration), or [`SailingError::WorkerPanicked`] if a shard
+    /// worker panics.
     pub fn analyze_sharded(
         &self,
         snapshot: &SnapshotView,
@@ -734,123 +678,31 @@ impl SailingEngine {
             ));
         }
         let pipeline = AccuCopy::new(self.params.clone())?.with_watchdog(self.watchdog);
-        // The coordinator quotients once, before any ranges are cut: every
-        // worker (local thread or cooperating process) sees the quotiented
-        // snapshot, and the partial blob/claim names carry the equivalence
-        // provenance through the run's cold key — partials computed under
-        // different backends can never be adopted across runs.
-        let (snapshot, quotient_digest) = self.quotient_input(SnapshotInput::Borrowed(snapshot));
+        // The coordinator quotients once, before any ranges are cut, so
+        // every worker sees the quotiented snapshot.
+        let (snapshot, _) = self.quotient_input(SnapshotInput::Borrowed(snapshot));
         let snapshot = snapshot.into_arc();
         let ranges = shard_ranges(pipeline.pair_count(&snapshot), workers.max(1));
-        let key = quotient_cache_key(snapshot.content_hash(), quotient_digest, None);
         let state = pipeline.drive(&snapshot, None, |state| {
-            let partials = self.sharded_iteration(&pipeline, &snapshot, &ranges, state, key)?;
+            let run = |range: PairRange| pipeline.run_shard(&snapshot, range, state);
+            let partials = if let [range] = ranges[..] {
+                vec![run(range)]
+            } else {
+                std::thread::scope(|scope| {
+                    let handles = ranges
+                        .iter()
+                        .map(|&r| scope.spawn(move || run(r)))
+                        .collect();
+                    join_workers("shard", handles)
+                        .into_iter()
+                        .collect::<Result<Vec<_>, _>>()
+                })?
+            };
+            self.shard_runs
+                .fetch_add(ranges.len() as u64, Ordering::Relaxed);
             pipeline.merge_partials(&snapshot, state, &partials)
         })?;
-        if let Some(store) = self.persist.as_deref() {
-            // Best-effort sweep of the run's coordination files. A racing
-            // straggler re-publishing after this sweep cleans up again
-            // when it finishes; only a crashed process leaks its names,
-            // and those are validated-or-out-waited by the next run.
-            for iteration in 1..=state.iterations {
-                for &range in &ranges {
-                    let name = shard_partial_name(key, iteration, range);
-                    store.remove_blob(&name);
-                    store.remove_claim(&name);
-                }
-            }
-        }
         Ok(self.assemble_analysis(snapshot, None, Arc::new(state)))
-    }
-
-    /// One iteration's fan-out: claim what we can, compute claimed ranges
-    /// on scoped threads, publish them, adopt the rest from cooperating
-    /// processes (recomputing locally when a claimant never delivers).
-    /// A panicking local worker surfaces as
-    /// [`SailingError::WorkerPanicked`].
-    fn sharded_iteration(
-        &self,
-        pipeline: &AccuCopy,
-        snapshot: &SnapshotView,
-        ranges: &[PairRange],
-        state: &PipelineResult,
-        key: StoreKey,
-    ) -> Result<Vec<PartialDependence>, SailingError> {
-        let iteration = state.iterations + 1;
-        let store = self.persist.as_deref();
-        let (mine, theirs): (Vec<PairRange>, Vec<PairRange>) = match store {
-            Some(store) => ranges
-                .iter()
-                .partition(|&&r| store.try_claim(&shard_partial_name(key, iteration, r))),
-            None => (ranges.to_vec(), Vec::new()),
-        };
-
-        let mut partials: Vec<PartialDependence> = if mine.len() <= 1 {
-            mine.iter()
-                .map(|&r| pipeline.run_shard(snapshot, r, state))
-                .collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = mine
-                    .iter()
-                    .map(|&r| scope.spawn(move || pipeline.run_shard(snapshot, r, state)))
-                    .collect();
-                join_workers("shard", handles)
-                    .into_iter()
-                    .collect::<Result<_, _>>()
-            })?
-        };
-        self.shard
-            .runs
-            .fetch_add(mine.len() as u64, Ordering::Relaxed);
-
-        let Some(store) = store else {
-            return Ok(partials);
-        };
-        // Publishing is cooperative best-effort: a failed publish only
-        // denies peers an adoption (they recompute), never this merge.
-        for partial in &partials {
-            let name = shard_partial_name(key, iteration, partial.range);
-            let _ = store.put_blob(&name, partial.to_canonical_json().as_bytes());
-        }
-        let digest = iteration_digest(state);
-        let total_pairs = ranges.last().map_or(0, |r| r.end);
-        let deadline = Instant::now() + SHARD_ADOPT_DEADLINE;
-        let mut waiting = theirs;
-        while !waiting.is_empty() {
-            waiting.retain(|&range| {
-                let adopted = store
-                    .get_blob(&shard_partial_name(key, iteration, range))
-                    .and_then(|bytes| String::from_utf8(bytes).ok())
-                    .and_then(|text| PartialDependence::from_json_str(&text).ok())
-                    // A blob from a crashed earlier run (or a peer on a
-                    // different epoch) fails the digest check and is
-                    // recomputed rather than merged.
-                    .filter(|p| {
-                        p.range == range && p.total_pairs == total_pairs && p.state_digest == digest
-                    });
-                match adopted {
-                    Some(partial) => {
-                        partials.push(partial);
-                        self.shard.adopted.fetch_add(1, Ordering::Relaxed);
-                        false
-                    }
-                    None => true,
-                }
-            });
-            if waiting.is_empty() || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(SHARD_ADOPT_POLL);
-        }
-        for &range in &waiting {
-            let partial = pipeline.run_shard(snapshot, range, state);
-            let name = shard_partial_name(key, iteration, partial.range);
-            let _ = store.put_blob(&name, partial.to_canonical_json().as_bytes());
-            self.shard.runs.fetch_add(1, Ordering::Relaxed);
-            partials.push(partial);
-        }
-        Ok(partials)
     }
 
     /// Opens a [`TimelineSession`] over a history (by value or as an
@@ -1398,13 +1250,8 @@ pub struct CacheStats {
     /// the discovery loop (`0` when no store is attached).
     pub disk_misses: u64,
     /// Pair-range detection passes [`SailingEngine::analyze_sharded`]
-    /// computed locally (claimed ranges plus recomputed fallbacks).
+    /// ran, one per range per iteration.
     pub shard_runs: u64,
-    /// Pair-range partials adopted from a cooperating process's
-    /// published blob instead of being recomputed (`0` without a
-    /// persistent store — threads-only fan-outs have no one to adopt
-    /// from).
-    pub shard_partials_adopted: u64,
     /// The attached store's own counters — writes, write errors, queue
     /// drops, retries, breaker fast-fails, rejected files, and the
     /// breaker's phase ([`PersistStats::breaker`]) — or `None` without a
@@ -2428,8 +2275,8 @@ mod tests {
     use sailing_core::NaiveVote;
     use sailing_datagen::world::{SnapshotWorld, WorldConfig};
     use sailing_fusion::{fuse, FusionStrategy};
-    use sailing_linkage::NormalizedString;
     use sailing_model::fixtures;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn builder_validates_params() {
@@ -3338,10 +3185,6 @@ mod tests {
         }
         let stats = engine.cache_stats();
         assert!(stats.shard_runs > 0, "local detection passes are counted");
-        assert_eq!(
-            stats.shard_partials_adopted, 0,
-            "threads-only fan-outs have no peers to adopt from"
-        );
         // Sharded results bypass the cache: only the plain analyze()
         // calls touched the request counters.
         assert_eq!(stats.hits + stats.misses, worlds.len() as u64);
@@ -3388,64 +3231,94 @@ mod tests {
     }
 
     #[test]
-    fn analyze_sharded_adopts_peer_partials_through_the_store() {
-        let dir = persist_temp_dir("shard-adopt");
+    fn analyze_sharded_never_touches_store_files() {
+        let dir = persist_temp_dir("shard-files");
         let (store, _) = fixtures::table1();
         let snap = store.snapshot();
         let engine = SailingEngine::builder().persist_dir(&dir).build().unwrap();
 
-        // A stand-in for a cooperating process: claim the first range of
-        // iteration 1 and publish its partial through the shared store
-        // before the engine's own run begins.
+        // Files an older build's cross-process shard runs used, under the
+        // names it derived for iteration 1 of this snapshot cut into two
+        // ranges: range 0 is claimed and holds a well-framed partial
+        // computed under other detection parameters against the very
+        // state iteration 1 starts from; range 1 is an orphan claim whose
+        // blob never appeared.
         let pipeline = AccuCopy::new(engine.params().clone()).unwrap();
         let ranges = shard_ranges(pipeline.pair_count(&snap), 2);
         assert_eq!(ranges.len(), 2, "table1 has enough candidate pairs");
         let state = pipeline.bootstrap_sharded(&snap, None);
-        let name = shard_partial_name(
-            quotient_cache_key(snap.content_hash(), None, None),
-            1,
-            ranges[0],
+        let foreign = AccuCopy::new(DetectionParams {
+            prior_dependence: 0.6,
+            copy_rate: 0.3,
+            ..engine.params().clone()
+        })
+        .unwrap()
+        .run_shard(&snap, ranges[0], &state);
+        assert_ne!(
+            foreign.dependences,
+            pipeline.run_shard(&snap, ranges[0], &state).dependences,
+            "merging the foreign partial would change the result"
         );
-        let peer = engine.persist_store().unwrap();
-        assert!(peer.try_claim(&name));
-        let partial = pipeline.run_shard(&snap, ranges[0], &state);
-        peer.put_blob(&name, partial.to_canonical_json().as_bytes())
-            .unwrap();
-
-        let sharded = engine.analyze_sharded(&snap, 2).unwrap();
-        let stats = engine.cache_stats();
-        assert_eq!(
-            stats.shard_partials_adopted, 1,
-            "the pre-published partial was adopted, not recomputed"
-        );
-        assert!(stats.shard_runs > 0);
-
-        let solo = SailingEngine::with_defaults().analyze(&snap);
-        assert_eq!(sharded.decisions(), solo.decisions());
-        for (x, y) in sharded.accuracies().iter().zip(solo.accuracies()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "cooperation stays bit-exact");
+        let payload = serde::json::write(&foreign.serialize());
+        let mut blob = format!(
+            "sailing-blob v1 {} {:016x}\n",
+            payload.len(),
+            sailing_persist::checksum_bytes(payload.as_bytes())
+        )
+        .into_bytes();
+        blob.extend_from_slice(payload.as_bytes());
+        let name = |r: PairRange| {
+            format!(
+                "shard-{:016x}-i1-{}-{}",
+                snap.content_hash(),
+                r.start,
+                r.end
+            )
+        };
+        let planted = [
+            (dir.join(format!("{}.blob", name(ranges[0]))), blob),
+            (
+                dir.join(format!("{}.claim", name(ranges[0]))),
+                b"4242 0".to_vec(),
+            ),
+            (
+                dir.join(format!("{}.claim", name(ranges[1]))),
+                b"4242 0".to_vec(),
+            ),
+        ];
+        for (path, bytes) in &planted {
+            std::fs::write(path, bytes).unwrap();
         }
 
-        // The completed run swept its coordination files, so the claim
-        // is takeable again and the blob is gone.
-        assert!(peer.get_blob(&name).is_none());
-        assert!(peer.try_claim(&name));
+        let started = Instant::now();
+        let sharded = engine.analyze_sharded(&snap, 2).unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "no claim is waited on: {elapsed:?}"
+        );
 
-        // A partial published under the exact name is invisible to a
-        // non-exact backend on the same store, even when its quotient is
-        // the identity: the iteration state (and so the partial's digest)
-        // matches, and only the name keeps the two runs apart.
-        assert!(snap.quotient(&NormalizedString).is_identity());
-        peer.put_blob(&name, partial.to_canonical_json().as_bytes())
-            .unwrap();
-        let normalized = SailingEngine::builder()
-            .persist_dir(&dir)
-            .value_equivalence(NormalizedString)
-            .build()
-            .unwrap();
-        let sharded = normalized.analyze_sharded(&snap, 2).unwrap();
-        assert_eq!(normalized.cache_stats().shard_partials_adopted, 0);
-        assert_eq!(sharded.decisions(), solo.decisions());
+        let solo = SailingEngine::with_defaults().analyze_owned(Arc::new(store.snapshot()));
+        let (got, want) = (sharded.result(), solo.result());
+        assert_eq!(got.iterations, want.iterations);
+        assert_eq!(got.dependences, want.dependences);
+        for (x, y) in got.accuracies.iter().zip(&want.accuracies) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        for o in want.probabilities.objects() {
+            let bits = |p: &PipelineResult| {
+                p.probabilities
+                    .distribution(o)
+                    .iter()
+                    .map(|&(v, q)| (v, q.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(got), bits(want), "posterior of {o:?}");
+        }
+
+        for (path, bytes) in &planted {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "{path:?} untouched");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,8 +11,7 @@
 //!    `tests/golden/persist_v1/` must keep reading; regenerate only for a
 //!    deliberate format-version bump (`UPDATE_GOLDEN=1 cargo test --test
 //!    persist_store`). The write side is pinned too: a fresh store writes
-//!    the golden entry byte for byte, and a blob's file is exactly its
-//!    framed payload.
+//!    the golden entry byte for byte.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -639,26 +638,6 @@ fn fresh_store_writes_the_golden_entry_byte_for_byte() {
         written.len(),
         golden.len()
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A blob's file is exactly `sailing-blob v1 <len> <checksum>\n` followed
-/// by the payload — the same frame entries use, under the blob magic.
-#[test]
-fn blob_file_is_exactly_its_framed_payload() {
-    let dir = temp_dir("blob-bytes");
-    let store = PersistentStore::open(&dir).unwrap();
-    let payload: &[u8] = b"partial pass\nwith a newline and \xff bytes";
-    store.put_blob("partial-7", payload).unwrap();
-    let mut expected = format!(
-        "sailing-blob v{FORMAT_VERSION} {} {:016x}\n",
-        payload.len(),
-        checksum_bytes(payload)
-    )
-    .into_bytes();
-    expected.extend_from_slice(payload);
-    assert_eq!(std::fs::read(dir.join("partial-7.blob")).unwrap(), expected);
-    assert_eq!(store.get_blob("partial-7").unwrap(), payload);
     std::fs::remove_dir_all(&dir).ok();
 }
 
