@@ -5,8 +5,8 @@
 //! `sailing-core`; [`fuse`] is a thin driver over that trait rather than a
 //! re-implementation per strategy.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 use serde::{Content, Deserialize, Error as SerdeError, Serialize};
 
@@ -59,9 +59,11 @@ impl FusionStrategy {
 /// The posterior payload (probabilities, accuracies, dependences) is a
 /// shared [`Arc`] over the discovery [`PipelineResult`]: deriving an
 /// outcome from a cached analysis shares every distribution instead of
-/// deep-copying them — only the small per-object decision map is
-/// materialised per outcome. Serialization is unchanged from the old
-/// by-value shape.
+/// deep-copying them. The decision map is built once per outcome, and the
+/// ordered decisions of [`FusionOutcome::decisions_sorted`] on first use;
+/// the `sailing` facade memoises one outcome per analysis and hands out
+/// that same outcome behind an [`Arc`]. Serialization is unchanged from
+/// the old by-value shape.
 #[derive(Debug, Clone)]
 pub struct FusionOutcome {
     /// Hard decision per object.
@@ -69,6 +71,8 @@ pub struct FusionOutcome {
     /// Strategy name, for reporting.
     pub strategy: String,
     result: Arc<PipelineResult>,
+    /// The result's decisions in ascending object order, built on first use.
+    sorted: OnceLock<BTreeMap<ObjectId, ValueId>>,
 }
 
 impl FusionOutcome {
@@ -84,6 +88,7 @@ impl FusionOutcome {
             decisions: result.decisions(),
             strategy: strategy.to_string(),
             result,
+            sorted: OnceLock::new(),
         }
     }
 
@@ -111,9 +116,10 @@ impl FusionOutcome {
 
     /// The hard decisions in ascending object order — iterate this (not
     /// the `decisions` hash map, whose order is randomized per process)
-    /// when emitting reports that must be reproducible run to run.
-    pub fn decisions_sorted(&self) -> std::collections::BTreeMap<ObjectId, ValueId> {
-        self.result.decisions_sorted()
+    /// when emitting reports that must be reproducible run to run. Built
+    /// from the result's distributions on the first call, then memoised.
+    pub fn decisions_sorted(&self) -> &BTreeMap<ObjectId, ValueId> {
+        self.sorted.get_or_init(|| self.result.decisions_sorted())
     }
 }
 
@@ -169,6 +175,7 @@ impl Deserialize for FusionOutcome {
             decisions: HashMap::deserialize(field("decisions")?)?,
             strategy: String::deserialize(field("strategy")?)?,
             result: Arc::new(result),
+            sorted: OnceLock::new(),
         })
     }
 }
@@ -258,7 +265,7 @@ mod tests {
         let outcome = fuse(&store.snapshot(), &FusionStrategy::dependence_aware()).unwrap();
         let sorted = outcome.decisions_sorted();
         assert_eq!(sorted.len(), outcome.decisions.len());
-        for (o, v) in &sorted {
+        for (o, v) in sorted {
             assert_eq!(outcome.decisions.get(o), Some(v));
         }
         let objects: Vec<_> = sorted.keys().copied().collect();
@@ -291,5 +298,12 @@ mod tests {
         let back: FusionOutcome = serde_json::from_str(&json).unwrap();
         assert_eq!(back.decisions.len(), outcome.decisions.len());
         assert_eq!(back.strategy, "accu-copy");
+        // The ordered decisions of a decoded outcome are built from its
+        // decoded distributions, not carried over the wire.
+        assert_eq!(
+            back.decisions_sorted(),
+            &back.probabilities().decisions_sorted()
+        );
+        assert_eq!(back.decisions_sorted(), outcome.decisions_sorted());
     }
 }

@@ -6,7 +6,7 @@
 //! bit on every [`TopKResult`] field.
 //!
 //! The file is compiled into the tests of `sailing-query` and, through
-//! `#[path]`, into the workspace's engine-level parity test and the E8
+//! `#[path]`, into the workspace's engine-level parity test and the E12
 //! serving bench, whose top-k yardstick is this O(sources) scan. It names
 //! its types through `super`, so the including module must have
 //! `ObjectId`, `SnapshotView`, `SourceId`, `TopKResult` and `ValueId` in

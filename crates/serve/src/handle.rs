@@ -307,12 +307,15 @@ impl ServeReader {
         self.timed(Endpoint::TopK, |a| a.top_k(object, k, policy))
     }
 
-    /// The current epoch's full fusion outcome.
-    pub fn fuse(&mut self) -> FusionOutcome {
+    /// The current epoch's full fusion outcome: the analysis's memoised
+    /// outcome itself, shared rather than copied.
+    pub fn fuse(&mut self) -> Arc<FusionOutcome> {
         self.timed(Endpoint::Fuse, Analysis::fuse)
     }
 
-    /// Goal-directed source recommendations.
+    /// Goal-directed source recommendations, copied from the analysis's
+    /// per-goal memo whenever the answer is a prefix of it (see
+    /// [`Analysis::recommend`]).
     pub fn recommend(&mut self, goal: Goal, limit: usize) -> Vec<Recommendation> {
         self.timed(Endpoint::Recommend, |a| a.recommend(goal, limit))
     }

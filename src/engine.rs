@@ -911,6 +911,7 @@ impl SailingEngine {
             reports: OnceLock::new(),
             trust: OnceLock::new(),
             fused: OnceLock::new(),
+            recommended: Default::default(),
             orders: Default::default(),
             topk_weights: OnceLock::new(),
         });
@@ -965,7 +966,8 @@ impl std::fmt::Debug for SailingEngine {
 /// All accessors are cheap: the pipeline ran during
 /// [`SailingEngine::analyze_owned`], and what is derived from its result
 /// (the dependence matrix, reports, trust scores, fusion outcome, visit
-/// orders and top-k weights) is built on first use, once per analysis.
+/// orders, top-k weights and per-goal recommendations) is built on first
+/// use, once per analysis.
 /// The handle **owns** its data through [`Arc`]s — it is `Send + 'static`,
 /// so analyses can be stored beyond the snapshot's scope, kept alive across
 /// epochs of a timeline, and shared across threads; cloning bumps reference
@@ -996,12 +998,17 @@ struct Derived {
     /// Per-source reports; memoised so repeated `source_reports()` /
     /// `top_k()` calls do not redo the O(sources²) summary work.
     reports: OnceLock<Vec<SourceReport>>,
-    /// Trust scores, for the same reason: `recommend()` may be called
-    /// once per goal/limit against one analysis.
+    /// Trust scores, for the same reason: a `recommend()` that misses its
+    /// memo reads them again.
     trust: OnceLock<Vec<TrustScore>>,
-    /// The fusion outcome, so `fuse()` clones the decision map instead of
-    /// rebuilding it over every object.
-    fused: OnceLock<FusionOutcome>,
+    /// The fusion outcome, built once and handed out behind its [`Arc`],
+    /// so `fuse()` neither rebuilds nor copies the decision map.
+    fused: OnceLock<Arc<FusionOutcome>>,
+    /// Per goal (`TruthSeeking`, `DiversitySeeking`, in that order), the
+    /// first recommendation list asked for with a nonzero limit: the
+    /// greedy loop reads its limit only to stop, so a shorter answer is a
+    /// prefix of it.
+    recommended: [OnceLock<Vec<Recommendation>>; 2],
     /// The visit orders of the deterministic policies with their ranks
     /// (`ByCoverage`, `ByAccuracy`, `GreedyIndependent`, in that order), so
     /// `top_k()` never re-ranks every source per query.
@@ -1103,15 +1110,19 @@ impl Analysis {
     /// The fusion outcome implied by this analysis — equivalent to running
     /// `sailing_fusion::fuse` with the engine's strategy, but sharing the
     /// already-converged pipeline result (no re-run, no deep clone). The
-    /// outcome is built once per analysis and memoised; each call returns
-    /// a clone of it, whose result is this analysis's [`Analysis::result_arc`].
-    pub fn fuse(&self) -> FusionOutcome {
-        self.derived
-            .fused
-            .get_or_init(|| {
-                FusionOutcome::from_shared(Arc::clone(&self.result), self.strategy_name)
-            })
-            .clone()
+    /// outcome is built once per analysis and memoised; every call, on
+    /// every clone of the analysis, returns that one outcome (a reference
+    /// count bump), whose result is this analysis's
+    /// [`Analysis::result_arc`] and whose
+    /// [`decisions_sorted`](FusionOutcome::decisions_sorted) is built once
+    /// for all callers.
+    pub fn fuse(&self) -> Arc<FusionOutcome> {
+        Arc::clone(self.derived.fused.get_or_init(|| {
+            Arc::new(FusionOutcome::from_shared(
+                Arc::clone(&self.result),
+                self.strategy_name,
+            ))
+        }))
     }
 
     /// The probabilistic-database view of the fused value distributions.
@@ -1192,15 +1203,37 @@ impl Analysis {
     }
 
     /// Goal-directed source recommendations derived from the cached trust
-    /// scores and dependences.
+    /// scores and dependences: exactly `recommend_sources`' answer.
+    ///
+    /// The first call per goal with a nonzero `limit` fills that goal's
+    /// memo. A later call is a copy of the memo's first `limit` entries
+    /// when `limit` is no longer than the memo, or when the memo already
+    /// ranks every source; any other call runs the greedy loop afresh and
+    /// leaves the memo as it is. `limit == 0` is an empty answer and never
+    /// fills the memo.
     pub fn recommend(&self, goal: Goal, limit: usize) -> Vec<Recommendation> {
-        recommend_sources(
-            self.trust_scores(),
-            &self.result.dependences,
-            goal,
-            &self.trust_weights,
-            limit,
-        )
+        if limit == 0 {
+            return Vec::new();
+        }
+        let run = |limit| {
+            recommend_sources(
+                self.trust_scores(),
+                &self.result.dependences,
+                goal,
+                &self.trust_weights,
+                limit,
+            )
+        };
+        let slot = match goal {
+            Goal::TruthSeeking => 0,
+            Goal::DiversitySeeking => 1,
+        };
+        let memo = self.derived.recommended[slot].get_or_init(|| run(limit));
+        if limit <= memo.len() || memo.len() == self.trust_scores().len() {
+            memo[..limit.min(memo.len())].to_vec()
+        } else {
+            run(limit)
+        }
     }
 }
 
@@ -2505,6 +2538,56 @@ mod tests {
             analysis.probabilities().distribution(o).as_ptr(),
             f1.probabilities().distribution(o).as_ptr(),
         ));
+        // The outcome itself is the memo, and so are its ordered
+        // decisions, which repeat the pipeline result's.
+        assert!(Arc::ptr_eq(&f1, &f2));
+        assert!(Arc::ptr_eq(&analysis.fuse(), &analysis.clone().fuse()));
+        assert!(std::ptr::eq(
+            analysis.fuse().decisions_sorted(),
+            analysis.fuse().decisions_sorted()
+        ));
+        assert_eq!(
+            analysis.fuse().decisions_sorted(),
+            &analysis.result().decisions_sorted()
+        );
+    }
+
+    #[test]
+    fn recommend_memo_holds_the_first_nonzero_limit() {
+        let (store, _) = fixtures::table1();
+        let analysis = SailingEngine::with_defaults().analyze(&store.snapshot());
+        let memo = |a: &Analysis| a.derived.recommended[0].get().map(Vec::len);
+        let fresh = |limit| {
+            recommend_sources(
+                analysis.trust_scores(),
+                analysis.dependences(),
+                Goal::TruthSeeking,
+                &TrustWeights::default(),
+                limit,
+            )
+        };
+        // `limit == 0` answers empty and never fills the memo.
+        assert!(analysis.recommend(Goal::TruthSeeking, 0).is_empty());
+        assert_eq!(memo(&analysis), None);
+        // The first nonzero limit fills it; shorter limits are its
+        // prefixes, longer ones run afresh and leave it alone.
+        assert_eq!(analysis.recommend(Goal::TruthSeeking, 2), fresh(2));
+        assert_eq!(memo(&analysis), Some(2));
+        assert_eq!(analysis.recommend(Goal::TruthSeeking, 1), fresh(1));
+        assert_eq!(analysis.recommend(Goal::TruthSeeking, 4), fresh(4));
+        assert_eq!(memo(&analysis), Some(2));
+        assert!(analysis.recommend(Goal::TruthSeeking, 0).is_empty());
+        // Each goal has its own slot, and clones share both.
+        assert_eq!(analysis.derived.recommended[1].get(), None);
+        let clone = analysis.clone();
+        clone.recommend(Goal::DiversitySeeking, 9);
+        assert_eq!(analysis.derived.recommended[1].get().map(Vec::len), Some(5));
+        assert_eq!(memo(&clone), Some(2));
+        // A memo that ranks every source answers any longer limit.
+        assert_eq!(
+            analysis.recommend(Goal::DiversitySeeking, 7),
+            clone.recommend(Goal::DiversitySeeking, 5)
+        );
     }
 
     #[test]
@@ -2514,6 +2597,7 @@ mod tests {
         let reports = analysis.source_reports();
         let trust = analysis.trust_scores();
         let fused = analysis.fuse();
+        let recommended = analysis.recommend(Goal::TruthSeeking, 3);
         let memo_order = |a: &Analysis, policy: &OrderingPolicy| match a.order(policy) {
             Cow::Borrowed(order) => order as *const VisitOrder,
             Cow::Owned(_) => panic!("{} must be memoised", policy.name()),
@@ -2523,6 +2607,16 @@ mod tests {
         let clone = analysis.clone();
         assert!(std::ptr::eq(reports, clone.source_reports()));
         assert!(std::ptr::eq(trust, clone.trust_scores()));
+        assert!(Arc::ptr_eq(&fused, &clone.fuse()));
+        assert!(std::ptr::eq(
+            fused.decisions_sorted(),
+            clone.fuse().decisions_sorted()
+        ));
+        assert_eq!(clone.recommend(Goal::TruthSeeking, 2), recommended[..2]);
+        assert!(std::ptr::eq(
+            analysis.derived.recommended[0].get().unwrap(),
+            clone.derived.recommended[0].get().unwrap()
+        ));
         assert!(std::ptr::eq(
             greedy,
             memo_order(&clone, &OrderingPolicy::GreedyIndependent)
@@ -2542,6 +2636,7 @@ mod tests {
             other_clone.source_reports(),
             other.source_reports()
         ));
+        assert!(Arc::ptr_eq(&other_clone.fuse(), &other.fuse()));
         for policy in [OrderingPolicy::ByCoverage, OrderingPolicy::ByAccuracy] {
             let filled = memo_order(&other_clone, &policy);
             assert!(std::ptr::eq(filled, memo_order(&other, &policy)));

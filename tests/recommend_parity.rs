@@ -1,8 +1,9 @@
 //! Engine-level parity of source recommendation: `Analysis::recommend`
 //! (the greedy ranking that applies one pass over the dependences per
-//! pick) must return exactly what the original re-scoring loop returns
-//! on real analyses — the same sources, the same score bits and the same
-//! rationale strings, for both goals.
+//! pick, answered from a per-goal memo where its answer is a prefix of
+//! the memo) must return exactly what the original re-scoring loop
+//! returns on real analyses — the same sources, the same score bits and
+//! the same rationale strings, for both goals and in every call order.
 //!
 //! The reference loop is the test-only file of `sailing-recommend`,
 //! compiled in here through `#[path]`. Compiled into another crate than
@@ -14,7 +15,7 @@ use std::sync::Arc;
 use sailing::core::report::{DependenceKind, PairDependence};
 use sailing::datagen::world::{SnapshotWorld, WorldConfig};
 use sailing::datagen::{ChurnConfig, ChurnWorld};
-use sailing::engine::SailingEngine;
+use sailing::engine::{Analysis, SailingEngine};
 use sailing::model::{fixtures, SnapshotView, SourceId};
 use sailing::recommend::recommend::score_order;
 use sailing::recommend::{recommend_sources, Goal, Recommendation, TrustScore, TrustWeights};
@@ -31,26 +32,53 @@ fn key(recs: &[Recommendation]) -> Vec<(SourceId, Option<u64>, String)> {
         .collect()
 }
 
-/// Checks every goal and a spread of limits on one snapshot; returns how
-/// many recommendations carried a dependence adjustment, so callers can
-/// see the worlds exercise more than base trust.
+/// Compares one `recommend` call with the reference loop; returns how
+/// many recommendations carried a dependence adjustment.
+fn compare(label: &str, analysis: &Analysis, goal: Goal, limit: usize) -> usize {
+    let fast = analysis.recommend(goal, limit);
+    let slow = reference::recommend_sources_reference(
+        analysis.trust_scores(),
+        analysis.dependences(),
+        goal,
+        &TrustWeights::default(),
+        limit,
+    );
+    assert_eq!(key(&fast), key(&slow), "{label}: {goal:?}, limit {limit}");
+    assert_eq!(fast.len(), limit.min(analysis.snapshot().num_sources()));
+    fast.iter().filter(|r| r.rationale.contains(": ")).count()
+}
+
+/// Checks every goal and a spread of limits on one snapshot, in call
+/// orders that hit and miss each goal's memo, each on a fresh analysis;
+/// returns how many recommendations carried a dependence adjustment, so
+/// callers can see the worlds exercise more than base trust.
 fn check(label: &str, snapshot: SnapshotView) -> usize {
-    let analysis = SailingEngine::with_defaults().analyze_owned(Arc::new(snapshot));
-    let n = analysis.snapshot().num_sources();
+    let snapshot = Arc::new(snapshot);
+    let fresh = || SailingEngine::with_defaults().analyze_owned(Arc::clone(&snapshot));
+    let n = snapshot.num_sources();
+    let descending = [n + 1, n, n / 2, 3, 1, 0];
+    let mut ascending = descending;
+    ascending.reverse();
     let mut adjusted = 0;
     for goal in [Goal::TruthSeeking, Goal::DiversitySeeking] {
-        for limit in [0, 1, 3, n / 2, n, n + 1] {
-            let fast = analysis.recommend(goal, limit);
-            let slow = reference::recommend_sources_reference(
-                analysis.trust_scores(),
-                analysis.dependences(),
-                goal,
-                &TrustWeights::default(),
-                limit,
-            );
-            assert_eq!(key(&fast), key(&slow), "{label}: {goal:?}, limit {limit}");
-            assert_eq!(fast.len(), limit.min(n));
-            adjusted += fast.iter().filter(|r| r.rationale.contains(": ")).count();
+        // The first call fills the memo with every source, so each later
+        // one is a prefix of it.
+        let filled = fresh();
+        for limit in descending {
+            adjusted += compare(&format!("{label} descending"), &filled, goal, limit);
+        }
+        // Limit 0 leaves the memo empty and limit 1 fills it, so each
+        // longer call misses it.
+        let grown = fresh();
+        for limit in ascending {
+            compare(&format!("{label} ascending"), &grown, goal, limit);
+        }
+        // Clones read the memos their originals filled.
+        for (order, original) in [("descending", &filled), ("ascending", &grown)] {
+            let clone = original.clone();
+            for limit in ascending {
+                compare(&format!("{label} clone ({order})"), &clone, goal, limit);
+            }
         }
     }
     adjusted
